@@ -8,8 +8,9 @@
 // well-formed (the capture round-trips through Trace::load, collapsed
 // stacks carry parallel_for provenance frames, the Chrome JSON has the
 // expected structure) and that the *disabled*-hook path — the one relaxed
-// load + branch every dispatch site pays when no tracer is installed —
-// adds less than 2% to bulk parallel_for chunk dispatch.
+// load + branch every pin site pays when no tracer is installed, and the
+// one branch per chunk — adds less than 2% to bulk parallel_for chunk
+// dispatch.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -32,9 +33,9 @@
 namespace {
 
 // Disabled-hook cost of one chunk's trace sites, measured with the exact
-// structure BulkLoop::execute uses: the hook pointer is loaded once per
-// job copy (amortizing the atomic load over all its chunks) and each chunk
-// pays two PE_TRACE_EMIT_CACHED branches. Differential measurement — the
+// structure BulkLoop::execute uses: the trace hook is pinned once per job
+// copy (amortizing the atomic load over all its chunks) and each chunk
+// pays one branch on the pinned pointer. Differential measurement — the
 // same loop with and without the guard sites — isolates the guards from
 // the loop scaffolding.
 double measure_chunk_guard_ns(const pe::BenchmarkRunner& runner) {
@@ -48,16 +49,21 @@ double measure_chunk_guard_ns(const pe::BenchmarkRunner& runner) {
     pe::do_not_optimize(acc);
   });
   const pe::Measurement guarded = runner.run("trace.chunk_guarded", [] {
-    pe::TraceHook* const trace = pe::detail::trace_hook_fast();
+    const auto pin = pe::HookSlot<pe::TraceHook>::pin();
+    pe::TraceHook* const trace = pin.get();
     std::uint64_t acc = 0;
     for (std::size_t i = 0; i < kChunks; ++i) {
-      // obj must not be &acc: taking acc's address would force it to
-      // memory and the delta would measure the spill, not the guards.
-      PE_TRACE_EMIT_CACHED(trace, pe::TraceEventKind::kChunkStart, nullptr,
-                           i, i + 1, 0, nullptr, 0);
-      acc += i;
-      PE_TRACE_EMIT_CACHED(trace, pe::TraceEventKind::kChunkFinish, nullptr,
-                           i, i + 1, 0, nullptr, 0);
+      if (trace == nullptr) {
+        acc += i;
+      } else {
+        // obj must not be &acc: taking acc's address would force it to
+        // memory and the delta would measure the spill, not the guards.
+        trace->on_event(pe::TraceEventKind::kChunkStart, nullptr, i, i + 1,
+                        0, nullptr, 0);
+        acc += i;
+        trace->on_event(pe::TraceEventKind::kChunkFinish, nullptr, i, i + 1,
+                        0, nullptr, 0);
+      }
       pe::clobber_memory();
     }
     pe::do_not_optimize(acc);
@@ -71,13 +77,13 @@ double measure_chunk_guard_ns(const pe::BenchmarkRunner& runner) {
   return std::max(0.0, delta) * 1e9 / static_cast<double>(kChunks);
 }
 
-// Cost of one full guard (atomic acquire load + branch) — the spelling the
-// per-loop and per-event scheduler sites use (kSubmit, kSteal, kPark, ...).
+// Cost of one disabled pin (atomic load + branch) — what every per-event
+// site (kSubmit, kSteal, kPark, ...), every job copy and every loop pays.
 double measure_load_guard_ns(const pe::BenchmarkRunner& runner) {
   constexpr std::size_t kSites = 4096;
   const pe::Measurement m = runner.run("trace.guard_disabled", [] {
     for (std::size_t i = 0; i < kSites; ++i) {
-      PE_TRACE_EMIT(pe::TraceEventKind::kSubmit, nullptr, 0, 0, 0);
+      pe::trace_event(pe::TraceEventKind::kSubmit, nullptr, 0, 0, 0);
       pe::clobber_memory();
     }
   });
@@ -290,11 +296,11 @@ int main(int argc, char** argv) {
   }
 
   // Disabled-hook overhead on bulk dispatch. Per chunk the disabled path
-  // pays the two PE_TRACE_EMIT_CACHED branches in BulkLoop::execute
-  // (measured differentially with that exact structure); the atomic-load
-  // guards fire per *loop* (kSubmit, kLoopBegin/End) and per job copy (the
-  // one cached load), so they amortize over every chunk of the loop.
-  // Total must stay under 2% of the measured per-chunk dispatch cost.
+  // pays the one branch in BulkLoop::execute (measured differentially with
+  // that exact structure); the pins fire per *loop* (kSubmit and the
+  // caller's loop pin) and per job copy (run_job's pin), so they amortize
+  // over every chunk of the loop. Total must stay under 2% of the measured
+  // per-chunk dispatch cost.
   pe::MeasurementConfig mcfg;
   mcfg.warmup_runs = 2;
   mcfg.repetitions = 11;
@@ -303,16 +309,16 @@ int main(int argc, char** argv) {
   const double chunk_guard_ns = measure_chunk_guard_ns(runner);
   const double load_guard_ns = measure_load_guard_ns(runner);
   const auto probe = pe::microbench::probe_scheduler(runner);
-  // Per-loop sites: kSubmit + kLoopBegin + kLoopEnd, plus one cached hook
-  // load per job copy (== pool size) and per participating caller.
+  // Per-loop pins: kSubmit and the caller's loop pin, plus one per job
+  // copy (== pool size).
   const double amortized_ns =
-      load_guard_ns * (3.0 + static_cast<double>(probe.pool_threads) + 1.0) /
+      load_guard_ns * (2.0 + static_cast<double>(probe.pool_threads)) /
       static_cast<double>(probe.tasks);
   const double per_chunk_ns = chunk_guard_ns + amortized_ns;
   const double overhead_pct = 100.0 * per_chunk_ns / probe.bulk_ns;
   std::printf(
-      "\ndisabled-hook cost: %.3f ns/chunk (cached branches) + %.4f ns/chunk "
-      "(amortized per-loop guards); bulk dispatch %.1f ns/chunk -> %.2f%% "
+      "\ndisabled-hook cost: %.3f ns/chunk (pinned branch) + %.4f ns/chunk "
+      "(amortized per-loop pins); bulk dispatch %.1f ns/chunk -> %.2f%% "
       "overhead\n",
       chunk_guard_ns, amortized_ns, probe.bulk_ns, overhead_pct);
   if (!(overhead_pct < 2.0)) {

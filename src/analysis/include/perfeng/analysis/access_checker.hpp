@@ -101,18 +101,15 @@ class AccessChecker final : public AccessHook {
 };
 
 /// RAII installer: makes `checker` the process-wide AccessHook for the
-/// scope's lifetime. Only one hook may be active at a time (nesting
+/// scope's lifetime; the destructor waits until no chunk or loop is still
+/// announcing to it. Only one hook may be active at a time (nesting
 /// throws pe::Error — overlapping checker scopes are a test bug).
 class ScopedAccessCheck {
  public:
-  explicit ScopedAccessCheck(AccessChecker& checker);
-  ~ScopedAccessCheck();
-
-  ScopedAccessCheck(const ScopedAccessCheck&) = delete;
-  ScopedAccessCheck& operator=(const ScopedAccessCheck&) = delete;
+  explicit ScopedAccessCheck(AccessChecker& checker) : scope_(checker) {}
 
  private:
-  AccessChecker& checker_;
+  ScopedHook<AccessHook> scope_;
 };
 
 }  // namespace pe::analysis

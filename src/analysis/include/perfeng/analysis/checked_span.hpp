@@ -56,10 +56,7 @@ class checked_span {
   /// hand a whole sub-range to uninstrumented code (memcpy, BLAS, ...).
   void note(std::size_t lo, std::size_t hi, bool is_write) const {
     PE_ASSERT(lo <= hi && hi <= size_, "checked_span range out of bounds");
-    if (AccessHook* hook = ::pe::detail::access_hook_fast())
-      hook->record(data_, lo * sizeof(value_type), hi * sizeof(value_type),
-                   is_write, tag_, loc_.file_name(),
-                   static_cast<unsigned>(loc_.line()));
+    access_record(data_, sizeof(value_type), lo, hi, is_write, tag_, loc_);
   }
 
   /// Element proxy: reads record on conversion, writes on assignment, and

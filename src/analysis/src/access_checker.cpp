@@ -176,13 +176,4 @@ void AccessChecker::reset() {
   unscoped_records_.store(0, std::memory_order_relaxed);
 }
 
-ScopedAccessCheck::ScopedAccessCheck(AccessChecker& checker)
-    : checker_(checker) {
-  PE_REQUIRE(access_hook() == nullptr,
-             "another access hook is already installed");
-  set_access_hook(&checker_);
-}
-
-ScopedAccessCheck::~ScopedAccessCheck() { set_access_hook(nullptr); }
-
 }  // namespace pe::analysis

@@ -5,17 +5,19 @@
 ///
 /// The race lint in perfeng_analysis needs to see which byte ranges each
 /// parallel chunk reads and writes. Rather than make every kernel depend on
-/// the analysis library, the instrumentation mirrors fault_hook.hpp: the
-/// parallel runtime announces loop and chunk boundaries, kernels (and
-/// student code via `pe::analysis::checked_span`) announce the ranges they
-/// touch, and all of it is a no-op costing one relaxed atomic load until an
-/// `AccessHook` — normally a `pe::analysis::AccessChecker` — is installed.
-/// The hook lives here (not in perfeng_analysis) so the thread pool and the
-/// kernels can host instrumentation points without a layering inversion.
+/// the analysis library, the parallel runtime announces loop and chunk
+/// boundaries here, kernels (and student code via
+/// `pe::analysis::checked_span`) announce the ranges they touch, and all of
+/// it is a no-op costing one relaxed atomic load until an `AccessHook` —
+/// normally a `pe::analysis::AccessChecker` — is installed through the hook
+/// spine (hook.hpp). The hook lives here (not in
+/// perfeng_analysis) so the thread pool and the kernels can host
+/// instrumentation points without a layering inversion.
 
-#include <atomic>
 #include <cstddef>
 #include <source_location>
+
+#include "perfeng/common/hook.hpp"
 
 namespace pe {
 
@@ -56,78 +58,37 @@ class AccessHook {
                       const char* file, unsigned line) noexcept = 0;
 };
 
-/// Install (or with nullptr, remove) the process-wide hook. The caller
-/// keeps ownership and must keep the hook alive until it is removed;
-/// `pe::analysis::ScopedAccessCheck` does both ends via RAII.
-void set_access_hook(AccessHook* hook) noexcept;
-
-/// Currently installed hook, or nullptr.
-[[nodiscard]] AccessHook* access_hook() noexcept;
-
-namespace detail {
-extern std::atomic<AccessHook*> g_access_hook;
-
-[[nodiscard]] inline AccessHook* access_hook_fast() noexcept {
-  return g_access_hook.load(std::memory_order_acquire);
-}
-}  // namespace detail
-
-/// Announce a parallel loop over [begin, end); no-op unless hooked.
-/// Returns the hook's loop token, or 0 when no hook is installed.
-[[nodiscard]] inline std::size_t access_begin_loop(std::size_t begin,
-                                                   std::size_t end) noexcept {
-  if (AccessHook* hook = detail::access_hook_fast())
-    return hook->begin_loop(begin, end);
-  return 0;
-}
-
-inline void access_end_loop(std::size_t loop_token) noexcept {
-  if (AccessHook* hook = detail::access_hook_fast())
-    hook->end_loop(loop_token);
-}
-
-/// Announce that the calling thread starts chunk [lo, hi) of the loop
-/// identified by `loop_token` on `lane`.
-inline void access_begin_chunk(std::size_t loop_token, std::size_t lo,
-                               std::size_t hi, std::size_t lane) noexcept {
-  if (AccessHook* hook = detail::access_hook_fast())
-    hook->begin_chunk(loop_token, lo, hi, lane);
-}
-
-inline void access_end_chunk() noexcept {
-  if (AccessHook* hook = detail::access_hook_fast()) hook->end_chunk();
-}
-
 /// Record that the current chunk touches elements [lo, hi) of the buffer
-/// at `base` whose elements are `elem_size` bytes. Call once per chunk at
-/// range granularity — the checker coalesces, but one call is cheaper.
+/// at `base` whose elements are `elem_size` bytes; no-op unless hooked.
+/// Call once per chunk at range granularity — the checker coalesces, but
+/// one call is cheaper.
 inline void access_record(
     const void* base, std::size_t elem_size, std::size_t lo, std::size_t hi,
     bool is_write, const char* tag,
     std::source_location loc = std::source_location::current()) noexcept {
-  if (AccessHook* hook = detail::access_hook_fast())
+  if (const auto hook = HookSlot<AccessHook>::pin())
     hook->record(base, lo * elem_size, hi * elem_size, is_write, tag,
                  loc.file_name(), static_cast<unsigned>(loc.line()));
 }
 
-/// RAII chunk scope used by the parallel runtime: announces begin/end even
-/// when the chunk body throws.
+/// RAII chunk scope used by the parallel runtime: one pin for the chunk, so
+/// `begin_chunk` and `end_chunk` reach the same hook — even when the chunk
+/// body throws, and even when the hook is uninstalled meanwhile.
 class AccessChunkScope {
  public:
   AccessChunkScope(std::size_t loop_token, std::size_t lo, std::size_t hi,
-                   std::size_t lane) noexcept
-      : hook_(detail::access_hook_fast()) {
-    if (hook_ != nullptr) hook_->begin_chunk(loop_token, lo, hi, lane);
+                   std::size_t lane) noexcept {
+    if (hook_) hook_->begin_chunk(loop_token, lo, hi, lane);
   }
   ~AccessChunkScope() {
-    if (hook_ != nullptr) hook_->end_chunk();
+    if (hook_) hook_->end_chunk();
   }
 
   AccessChunkScope(const AccessChunkScope&) = delete;
   AccessChunkScope& operator=(const AccessChunkScope&) = delete;
 
  private:
-  AccessHook* hook_;
+  const HookSlot<AccessHook>::Pin hook_ = HookSlot<AccessHook>::pin();
 };
 
 }  // namespace pe

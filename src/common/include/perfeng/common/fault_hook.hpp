@@ -13,11 +13,13 @@
 /// hook may throw, delay, or corrupt the value, exercising every recovery
 /// path on demand. The hook lives here (not in perfeng_resilience) so that
 /// low-level layers like the CSV reader and the thread pool can host sites
-/// without depending on the resilience library.
+/// without depending on the resilience library. Install and removal go
+/// through the hook spine (hook.hpp): each site pins the hook for one call.
 
-#include <atomic>
 #include <string_view>
 #include <vector>
+
+#include "perfeng/common/hook.hpp"
 
 namespace pe {
 
@@ -64,27 +66,14 @@ void register_fault_site(std::string_view site);
 /// True when `site` names a canonical or registered fault site.
 [[nodiscard]] bool is_known_fault_site(std::string_view site);
 
-/// Install (or with nullptr, remove) the process-wide hook. The caller
-/// keeps ownership and must keep the hook alive until it is removed;
-/// `pe::resilience::ScopedFaultInjection` does both ends via RAII.
-void set_fault_hook(FaultHook* hook) noexcept;
-
-/// Currently installed hook, or nullptr.
-[[nodiscard]] FaultHook* fault_hook() noexcept;
-
-namespace detail {
-extern std::atomic<FaultHook*> g_fault_hook;
-}  // namespace detail
-
 /// Pass a named fault site: no-op unless a hook is installed.
 inline void fault_point(std::string_view site) {
-  if (FaultHook* hook = detail::g_fault_hook.load(std::memory_order_acquire))
-    hook->at(site);
+  if (const auto hook = HookSlot<FaultHook>::pin()) hook->at(site);
 }
 
 /// Pass a value through a named corruption site.
 [[nodiscard]] inline double fault_value(std::string_view site, double value) {
-  if (FaultHook* hook = detail::g_fault_hook.load(std::memory_order_acquire))
+  if (const auto hook = HookSlot<FaultHook>::pin())
     return hook->corrupt(site, value);
   return value;
 }

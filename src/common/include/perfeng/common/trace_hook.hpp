@@ -6,23 +6,24 @@
 /// The work-stealing pool is the hot substrate under every parallel kernel,
 /// but without observability it is a black box: where does worker time go,
 /// how long do tasks wait between submit and start, which locks and
-/// park/unpark cycles eat throughput? This hook mirrors fault_hook.hpp and
-/// access_hook.hpp: the scheduler and the bulk-loop runtime announce task
-/// lifecycle events (submit, steal, start, finish, park, unpark, contended
-/// lock acquisitions) and loop/chunk provenance, and all of it is a no-op
-/// costing one relaxed atomic load until a `TraceHook` — normally a
-/// `pe::observe::Tracer` — is installed. The hook lives here (not in
-/// perfeng_observe) so the thread pool and the loop runtime can host
-/// instrumentation points without a layering inversion.
+/// park/unpark cycles eat throughput? The scheduler and the bulk-loop
+/// runtime announce task lifecycle events (submit, steal, start, finish,
+/// park, unpark, contended lock acquisitions) and loop/chunk provenance,
+/// and all of it is a no-op costing one relaxed atomic load until a
+/// `TraceHook` — normally a `pe::observe::Tracer` — is installed through
+/// the hook spine (hook.hpp). The hook lives here (not in perfeng_observe)
+/// so the thread pool and the loop runtime can host instrumentation points
+/// without a layering inversion.
 ///
-/// Emission sites on hot paths must go through the `PE_TRACE_EMIT` /
-/// `PE_TRACE_EMIT_SITE` guard macros — never call `on_event` directly —
-/// so the disabled path is provably one load + branch; perfeng-lint's
-/// `trace-hook-guard` check enforces this.
+/// Single events go through `trace_event`. The pool pins the hook once per
+/// job copy and once per bulk loop, so a tracer that received a
+/// kTaskStart, kChunkStart or kLoopBegin receives the matching finish or
+/// end before it can be uninstalled.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+
+#include "perfeng/common/hook.hpp"
 
 namespace pe {
 
@@ -67,52 +68,12 @@ class TraceHook {
                         std::uint32_t line) noexcept = 0;
 };
 
-/// Install (or with nullptr, remove) the process-wide hook. The caller
-/// keeps ownership and must keep the hook alive until it is removed;
-/// `pe::observe::ScopedTrace` does both ends via RAII.
-void set_trace_hook(TraceHook* hook) noexcept;
-
-/// Currently installed hook, or nullptr.
-[[nodiscard]] TraceHook* trace_hook() noexcept;
-
-namespace detail {
-extern std::atomic<TraceHook*> g_trace_hook;
-
-[[nodiscard]] inline TraceHook* trace_hook_fast() noexcept {
-  return g_trace_hook.load(std::memory_order_acquire);
+/// Emit one scheduler event, without provenance, under a single-event pin:
+/// one load and a branch when no tracer is installed.
+inline void trace_event(TraceEventKind kind, const void* obj, std::uint64_t a,
+                        std::uint64_t b, std::size_t lane) noexcept {
+  if (const auto hook = HookSlot<TraceHook>::pin())
+    hook->on_event(kind, obj, a, b, lane, nullptr, 0);
 }
-}  // namespace detail
 
 }  // namespace pe
-
-/// Guarded trace emission: one acquire load + branch when no tracer is
-/// installed. The macro is the only sanctioned spelling on hot paths
-/// (perfeng-lint: trace-hook-guard); it exists so the guard cannot be
-/// forgotten and so emission sites are greppable.
-#define PE_TRACE_EMIT(kind, obj, a, b, lane)                                \
-  do {                                                                      \
-    if (::pe::TraceHook* pe_trace_hook_ = ::pe::detail::trace_hook_fast())  \
-      pe_trace_hook_->on_event((kind), (obj), (a), (b), (lane), nullptr, 0);\
-  } while (0)
-
-/// Guarded trace emission carrying a provenance site (file/line of the
-/// parallel_for call, for flame-graph frames).
-#define PE_TRACE_EMIT_SITE(kind, obj, a, b, lane, file, line)               \
-  do {                                                                      \
-    if (::pe::TraceHook* pe_trace_hook_ = ::pe::detail::trace_hook_fast())  \
-      pe_trace_hook_->on_event((kind), (obj), (a), (b), (lane), (file),     \
-                               (line));                                     \
-  } while (0)
-
-/// Guarded emission through a hook pointer the caller loaded once (with
-/// `pe::detail::trace_hook_fast()`) and reuses across many sites — the
-/// per-chunk spelling inside dispatch loops, where paying the atomic load
-/// per chunk would dominate the disabled path. The disabled cost here is a
-/// single predictable branch on a register. A hook installed mid-loop is
-/// picked up at the next load site; loops never outlive a `ScopedTrace`
-/// by contract.
-#define PE_TRACE_EMIT_CACHED(hook, kind, obj, a, b, lane, file, line)       \
-  do {                                                                      \
-    if ((hook) != nullptr)                                                  \
-      (hook)->on_event((kind), (obj), (a), (b), (lane), (file), (line));    \
-  } while (0)

@@ -5,10 +5,6 @@
 
 namespace pe {
 
-namespace detail {
-std::atomic<FaultHook*> g_fault_hook{nullptr};
-}  // namespace detail
-
 namespace {
 
 constexpr std::string_view kCatalog[] = {
@@ -31,14 +27,6 @@ SiteRegistry& registry() {
 }
 
 }  // namespace
-
-void set_fault_hook(FaultHook* hook) noexcept {
-  detail::g_fault_hook.store(hook, std::memory_order_release);
-}
-
-FaultHook* fault_hook() noexcept {
-  return detail::g_fault_hook.load(std::memory_order_acquire);
-}
 
 std::vector<std::string_view> known_fault_sites() {
   std::vector<std::string_view> sites(std::begin(kCatalog),

@@ -2,16 +2,6 @@
 
 namespace pe {
 
-namespace detail {
-std::atomic<TraceHook*> g_trace_hook{nullptr};
-}  // namespace detail
-
-void set_trace_hook(TraceHook* hook) noexcept {
-  detail::g_trace_hook.store(hook, std::memory_order_release);
-}
-
-TraceHook* trace_hook() noexcept { return detail::trace_hook_fast(); }
-
 const char* trace_event_kind_name(TraceEventKind kind) noexcept {
   switch (kind) {
     case TraceEventKind::kSubmit: return "submit";

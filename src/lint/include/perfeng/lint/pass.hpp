@@ -40,7 +40,7 @@ class Pass {
                    std::vector<Finding>& out) const = 0;
 };
 
-/// The shipped pass catalog: the twelve ported source-contract rules plus
+/// The shipped pass catalog: the ten ported source-contract rules plus
 /// the three whole-program passes (include-layering, lock-order,
 /// wait-loop).
 [[nodiscard]] std::vector<std::unique_ptr<Pass>> default_passes();

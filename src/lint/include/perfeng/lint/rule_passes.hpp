@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file rule_passes.hpp
-/// The twelve source-contract rules, ported from the original
+/// The ten source-contract rules, ported from the original
 /// single-file tool onto the pass framework (see docs/lint.md for the
 /// catalog). Each is a small whole-program pass over the lexed files;
 /// they share the lexer, the waiver grammar, and the structured output
@@ -14,11 +14,10 @@
 
 namespace pe::lint {
 
-/// All twelve ported rules, in catalog order:
+/// All ten ported rules, in catalog order:
 ///   pragma-once, include-style, namespace-pe, no-using-namespace,
 ///   no-std-rand, no-raw-new-array, no-volatile, test-determinism,
-///   self-contained-includes, trace-hook-guard, simd-isolation,
-///   model-from-machine.
+///   simd-isolation, model-from-machine.
 [[nodiscard]] std::vector<std::unique_ptr<Pass>> ported_rule_passes();
 
 }  // namespace pe::lint

@@ -2,20 +2,18 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "perfeng/common/error.hpp"
-#include "perfeng/lint/render.hpp"
+#include "perfeng/common/json.hpp"
 
 namespace pe::lint {
 
 namespace {
 
 /// Extract the string value of `"key": "..."` from a single-line JSON
-/// object. Returns false if the key is absent. Handles the escapes
-/// json_escape emits.
+/// object. Returns false if the key is absent or the value malformed.
 bool extract_string(const std::string& line, const std::string& key,
                     std::string& out) {
   const std::string needle = "\"" + key + "\":";
@@ -28,32 +26,9 @@ bool extract_string(const std::string& line, const std::string& key,
   out.clear();
   while (p < line.size()) {
     const char c = line[p];
-    if (c == '\\' && p + 1 < line.size()) {
-      const char e = line[p + 1];
-      switch (e) {
-        case 'n':
-          out.push_back('\n');
-          break;
-        case 'r':
-          out.push_back('\r');
-          break;
-        case 't':
-          out.push_back('\t');
-          break;
-        case 'u': {
-          // Only \u00XX escapes are emitted; decode the low byte.
-          if (p + 5 < line.size()) {
-            const std::string hex = line.substr(p + 2, 4);
-            out.push_back(static_cast<char>(
-                std::strtol(hex.c_str(), nullptr, 16)));
-            p += 4;
-          }
-          break;
-        }
-        default:
-          out.push_back(e);
-      }
-      p += 2;
+    if (c == '\\') {
+      p = json_unescape(line, p, out);
+      if (p == std::string::npos) return false;
       continue;
     }
     if (c == '"') return true;

@@ -256,132 +256,6 @@ class TestDeterminismPass final : public Pass {
   }
 };
 
-// --- self-contained-includes ------------------------------------------------
-
-struct StdTokenRule {
-  std::string_view token;
-  std::vector<std::string_view> providers;  // any one satisfies the rule
-};
-
-const std::vector<StdTokenRule>& std_token_rules() {
-  static const std::vector<StdTokenRule> rules = {
-      {"std::vector", {"vector"}},
-      {"std::string", {"string"}},
-      {"std::string_view", {"string_view"}},
-      {"std::size_t", {"cstddef", "cstdio", "cstdlib", "cstring"}},
-      {"std::ptrdiff_t", {"cstddef"}},
-      {"std::uint8_t", {"cstdint"}},
-      {"std::uint16_t", {"cstdint"}},
-      {"std::uint32_t", {"cstdint"}},
-      {"std::uint64_t", {"cstdint"}},
-      {"std::int32_t", {"cstdint"}},
-      {"std::int64_t", {"cstdint"}},
-      {"std::atomic", {"atomic"}},
-      {"std::mutex", {"mutex"}},
-      {"std::lock_guard", {"mutex"}},
-      {"std::unique_lock", {"mutex"}},
-      {"std::scoped_lock", {"mutex"}},
-      {"std::condition_variable", {"condition_variable"}},
-      {"std::thread", {"thread"}},
-      {"std::function", {"functional"}},
-      {"std::unique_ptr", {"memory"}},
-      {"std::shared_ptr", {"memory"}},
-      {"std::make_unique", {"memory"}},
-      {"std::make_shared", {"memory"}},
-      {"std::optional", {"optional"}},
-      {"std::variant", {"variant"}},
-      {"std::map", {"map"}},
-      {"std::unordered_map", {"unordered_map"}},
-      {"std::set", {"set"}},
-      {"std::deque", {"deque"}},
-      {"std::array", {"array"}},
-      {"std::pair", {"utility"}},
-      {"std::future", {"future"}},
-      {"std::promise", {"future"}},
-      {"std::packaged_task", {"future"}},
-      {"std::chrono", {"chrono"}},
-      {"std::numeric_limits", {"limits"}},
-      {"std::exception_ptr", {"exception"}},
-      {"std::current_exception", {"exception"}},
-      {"std::rethrow_exception", {"exception"}},
-      {"std::runtime_error", {"stdexcept"}},
-      {"std::source_location", {"source_location"}},
-      {"std::ostream", {"ostream", "iostream", "sstream", "iosfwd"}},
-      {"std::ostringstream", {"sstream"}},
-      {"std::filesystem", {"filesystem"}},
-  };
-  return rules;
-}
-
-class SelfContainedPass final : public Pass {
- public:
-  RuleInfo rule() const override {
-    return {"self-contained-includes",
-            "headers directly include what they use (curated std tokens)",
-            Severity::kWarning};
-  }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
-      if (!f.is_header || !f.in_src) continue;
-      std::vector<std::string> included;
-      for (const IncludeDirective& inc : f.includes)
-        if (inc.angled) included.push_back(inc.path);
-      for (const StdTokenRule& token_rule : std_token_rules()) {
-        const bool satisfied = std::any_of(
-            token_rule.providers.begin(), token_rule.providers.end(),
-            [&](std::string_view p) {
-              return std::find(included.begin(), included.end(), p) !=
-                     included.end();
-            });
-        if (satisfied) continue;
-        for (std::size_t i = 0; i < f.code.size(); ++i) {
-          if (!contains_token(f.code[i], std::string(token_rule.token)))
-            continue;
-          if (line_allows(f, i, "self-contained-includes")) continue;
-          out.push_back(make_finding(
-              f, i + 1, rule(),
-              "uses " + std::string(token_rule.token) +
-                  " but does not include <" +
-                  std::string(token_rule.providers.front()) + "> directly"));
-          break;  // one report per (file, token) is enough
-        }
-      }
-    }
-  }
-};
-
-// --- trace-hook-guard -------------------------------------------------------
-
-class TraceHookGuardPass final : public Pass {
- public:
-  RuleInfo rule() const override {
-    return {"trace-hook-guard",
-            "trace emission goes through PE_TRACE_EMIT* macros",
-            Severity::kError};
-  }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
-      if (!f.in_src) continue;
-      // The guard macros themselves are the one sanctioned spelling.
-      if (f.rel == "src/common/include/perfeng/common/trace_hook.hpp")
-        continue;
-      for (std::size_t i = 0; i < f.code.size(); ++i) {
-        const std::string& line = f.code[i];
-        const std::size_t pos = line.find("on_event(");
-        if (pos == std::string::npos || pos == 0) continue;
-        const char before = line[pos - 1];
-        if (before != '.' && before != '>') continue;  // declarations OK
-        if (line_allows(f, i, "trace-hook-guard")) continue;
-        out.push_back(make_finding(
-            f, i + 1, rule(),
-            "direct on_event() call — emit through PE_TRACE_EMIT / "
-            "PE_TRACE_EMIT_SITE / PE_TRACE_EMIT_CACHED so the "
-            "disabled-hook path stays one guarded branch"));
-      }
-    }
-  }
-};
-
 // --- simd-isolation ---------------------------------------------------------
 
 class SimdIsolationPass final : public Pass {
@@ -482,8 +356,6 @@ std::vector<std::unique_ptr<Pass>> ported_rule_passes() {
   passes.push_back(std::make_unique<RawNewArrayPass>());
   passes.push_back(std::make_unique<VolatilePass>());
   passes.push_back(std::make_unique<TestDeterminismPass>());
-  passes.push_back(std::make_unique<SelfContainedPass>());
-  passes.push_back(std::make_unique<TraceHookGuardPass>());
   passes.push_back(std::make_unique<SimdIsolationPass>());
   passes.push_back(std::make_unique<ModelFromMachinePass>());
   return passes;

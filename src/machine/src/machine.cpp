@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/json.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/units.hpp"
 
@@ -157,17 +158,12 @@ class Parser {
       if (c == '"') return v;
       if (c == '\n') fail("newline inside string", v.line);
       if (c == '\\') {
-        if (pos_ >= text_.size()) fail("unterminated escape", v.line);
-        const char e = text_[pos_++];
-        switch (e) {
-          case '"': v.text.push_back('"'); break;
-          case '\\': v.text.push_back('\\'); break;
-          case '/': v.text.push_back('/'); break;
-          case 'n': v.text.push_back('\n'); break;
-          case 't': v.text.push_back('\t'); break;
-          default:
-            fail(std::string("unsupported escape '\\") + e + "'", v.line);
+        const std::size_t next = json_unescape(text_, pos_ - 1, v.text);
+        if (next == std::string_view::npos) {
+          const std::string_view bad = text_.substr(pos_ - 1, 2);
+          fail("unsupported escape '" + std::string(bad) + "'", v.line);
         }
+        pos_ = next;
       } else {
         v.text.push_back(c);
       }
@@ -370,27 +366,18 @@ std::string Machine::calibration_hash() const {
 }
 
 std::string to_json(const Machine& m) {
-  auto quote = [](const std::string& s) {
-    std::string out = "\"";
-    for (const char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    out.push_back('"');
-    return out;
-  };
   std::ostringstream ss;
   ss << "{\n";
-  ss << "  \"name\": " << quote(m.name) << ",\n";
-  ss << "  \"description\": " << quote(m.description) << ",\n";
-  ss << "  \"source\": " << quote(m.source) << ",\n";
+  ss << "  \"name\": " << json_quote(m.name) << ",\n";
+  ss << "  \"description\": " << json_quote(m.description) << ",\n";
+  ss << "  \"source\": " << json_quote(m.source) << ",\n";
   ss << "  \"peak_flops\": " << format_double(m.peak_flops) << ",\n";
   ss << "  \"cores\": " << m.cores << ",\n";
   ss << "  \"hierarchy\": [";
   for (std::size_t i = 0; i < m.hierarchy.size(); ++i) {
     const MemoryLevel& level = m.hierarchy[i];
     ss << (i == 0 ? "\n" : ",\n");
-    ss << "    { \"level\": " << quote(level.name)
+    ss << "    { \"level\": " << json_quote(level.name)
        << ", \"bandwidth\": " << format_double(level.bandwidth)
        << ", \"latency\": " << format_double(level.latency)
        << ", \"capacity\": " << level.capacity

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/json.hpp"
 
 namespace pe {
 
@@ -24,21 +25,6 @@ std::string json_number(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -89,14 +75,14 @@ std::string BenchReport::to_json() const {
   std::ostringstream out;
   out << "{\n";
   out << "  \"schema\": \"pe-bench-v1\",\n";
-  out << "  \"bench\": " << json_string(bench_) << ",\n";
-  out << "  \"machine\": " << json_string(machine_name_) << ",\n";
-  out << "  \"calibration_hash\": " << json_string(calibration_hash_)
+  out << "  \"bench\": " << json_quote(bench_) << ",\n";
+  out << "  \"machine\": " << json_quote(machine_name_) << ",\n";
+  out << "  \"calibration_hash\": " << json_quote(calibration_hash_)
       << ",\n";
   out << "  \"context\": {";
   for (std::size_t i = 0; i < context_.size(); ++i) {
     if (i) out << ", ";
-    out << json_string(context_[i].first) << ": "
+    out << json_quote(context_[i].first) << ": "
         << json_number(context_[i].second);
   }
   out << "},\n";
@@ -104,8 +90,8 @@ std::string BenchReport::to_json() const {
   for (std::size_t i = 0; i < metrics_.size(); ++i) {
     const BenchMetric& m = metrics_[i];
     out << (i ? ",\n    {" : "\n    {");
-    out << "\"name\": " << json_string(m.name)
-        << ", \"unit\": " << json_string(m.unit) << ",\n";
+    out << "\"name\": " << json_quote(m.name)
+        << ", \"unit\": " << json_quote(m.unit) << ",\n";
     out << "     \"mean\": " << json_number(m.summary.mean)
         << ", \"median\": " << json_number(m.summary.median)
         << ", \"min\": " << json_number(m.summary.min)

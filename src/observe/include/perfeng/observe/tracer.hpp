@@ -93,17 +93,15 @@ class Tracer final : public TraceHook {
 
 /// RAII installer: makes `tracer` the process-wide TraceHook for the
 /// scope's lifetime. Only one hook may be active at a time (nesting
-/// throws pe::Error — overlapping trace scopes are a harness bug).
+/// throws pe::Error — overlapping trace scopes are a harness bug). The
+/// destructor returns once no thread is inside the tracer, and every job
+/// or loop whose start reached the tracer has delivered its finish.
 class ScopedTrace {
  public:
-  explicit ScopedTrace(Tracer& tracer);
-  ~ScopedTrace();
-
-  ScopedTrace(const ScopedTrace&) = delete;
-  ScopedTrace& operator=(const ScopedTrace&) = delete;
+  explicit ScopedTrace(Tracer& tracer) : scope_(tracer) {}
 
  private:
-  Tracer& tracer_;
+  ScopedHook<TraceHook> scope_;
 };
 
 }  // namespace pe::observe

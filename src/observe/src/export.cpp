@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "perfeng/common/json.hpp"
+
 namespace pe::observe {
 
 std::string provenance_frame(const char* file, std::uint32_t line) {
@@ -109,13 +111,6 @@ std::vector<Interval> deduplicated(std::vector<Interval> intervals) {
   return out;
 }
 
-void escape_json(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-}
-
 }  // namespace
 
 FoldedStacks collapse(const Trace& trace) {
@@ -157,9 +152,9 @@ void write_chrome_trace(std::ostream& out, const Trace& trace) {
   }
   for (const Interval& iv : reconstruct_intervals(trace)) {
     sep();
-    out << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << iv.lane << ",\"name\":\"";
-    escape_json(out, iv.frame);
-    out << "\",\"ts\":" << static_cast<double>(iv.start_ns) / 1000.0
+    out << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << iv.lane
+        << ",\"name\":" << json_quote(iv.frame)
+        << ",\"ts\":" << static_cast<double>(iv.start_ns) / 1000.0
         << ",\"dur\":"
         << static_cast<double>(iv.end_ns - iv.start_ns) / 1000.0;
     if (iv.hi > iv.lo)

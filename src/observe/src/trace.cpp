@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/json.hpp"
 
 // Capture format (docs/observability.md): line 1 is a header object, every
 // further line is one event object. Flat objects, fixed keys, no nesting —
@@ -39,7 +40,7 @@ void write_event(std::ostream& out, const TraceRecord& e) {
                 e.obj, e.a, e.b);
   out << buf;
   if (e.file != nullptr) {
-    out << ",\"file\":\"" << e.file << "\",\"line\":" << e.line;
+    out << ",\"file\":" << json_quote(e.file) << ",\"line\":" << e.line;
   }
   out << "}\n";
 }
@@ -125,9 +126,13 @@ class FlatObject {
                                  std::size_t lineno, std::string& out) {
     ++i;  // opening quote
     while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\' && i + 1 < s.size()) ++i;
-      out.push_back(s[i]);
-      ++i;
+      if (s[i] == '\\') {
+        i = json_unescape(s, i, out);
+        if (i == std::string_view::npos) fail(lineno, "bad escape in string");
+      } else {
+        out.push_back(s[i]);
+        ++i;
+      }
     }
     if (i >= s.size()) fail(lineno, "unterminated string");
     return i + 1;  // closing quote

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "perfeng/common/error.hpp"
-
 namespace pe::observe {
 
 namespace {
@@ -122,16 +120,6 @@ void Tracer::reset() noexcept {
     act.parked.store(false, std::memory_order_relaxed);
     act.seq.store(seq + 2, std::memory_order_release);
   }
-}
-
-ScopedTrace::ScopedTrace(Tracer& tracer) : tracer_(tracer) {
-  if (trace_hook() != nullptr)
-    throw Error("ScopedTrace: a trace hook is already installed");
-  set_trace_hook(&tracer_);
-}
-
-ScopedTrace::~ScopedTrace() {
-  set_trace_hook(nullptr);
 }
 
 }  // namespace pe::observe

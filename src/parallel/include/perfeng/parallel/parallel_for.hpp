@@ -144,12 +144,19 @@ struct BulkLoop {
     cursor.store(limit, std::memory_order_relaxed);
   }
 
-  void execute(std::size_t lane) {
-    // One hook load per claimed job copy, amortized over all its chunks:
-    // the disabled per-chunk cost is two register branches, not two atomic
-    // loads (bench/scheduler_trace --check holds this under 2% of chunk
-    // dispatch).
-    TraceHook* const trace = detail::trace_hook_fast();
+  void run_chunk(std::size_t lo, std::size_t hi, std::size_t lane) {
+    try {
+      chunk_fn(lo, hi, lane);
+    } catch (...) {
+      record_error();
+    }
+  }
+
+  /// Run chunks until the range drains. `trace` is the caller's pin of the
+  /// trace hook (null when none is installed), taken once per job copy or
+  /// loop, so the disabled per-chunk cost is one register branch
+  /// (bench/scheduler_trace --check holds it under 2% of chunk dispatch).
+  void execute(std::size_t lane, TraceHook* trace) {
     for (;;) {
       const auto [lo, hi] = claim();
       if (lo >= hi) return;
@@ -157,45 +164,49 @@ struct BulkLoop {
       // perfeng/analysis) which [lo, hi) this thread claims; a no-op
       // otherwise. RAII so the announcement closes even on a throw.
       AccessChunkScope scope(loop_token, lo, hi, lane);
-      PE_TRACE_EMIT_CACHED(trace, TraceEventKind::kChunkStart, this, lo, hi,
-                           lane, file, line);
-      try {
-        chunk_fn(lo, hi, lane);
-      } catch (...) {
-        record_error();
+      if (trace == nullptr) {
+        run_chunk(lo, hi, lane);
+        continue;
       }
-      PE_TRACE_EMIT_CACHED(trace, TraceEventKind::kChunkFinish, this, lo, hi,
-                           lane, file, line);
+      trace->on_event(TraceEventKind::kChunkStart, this, lo, hi, lane, file,
+                      line);
+      run_chunk(lo, hi, lane);
+      trace->on_event(TraceEventKind::kChunkFinish, this, lo, hi, lane, file,
+                      line);
     }
   }
 
-  /// Job entry point run by workers; the submitting thread calls
-  /// `execute` directly instead.
-  static void run(void* arg, std::size_t lane) {
+  /// Job entry point run by workers, under run_job's trace pin; the
+  /// submitting thread calls `execute` directly instead.
+  static void run(void* arg, std::size_t lane, TraceHook* trace) {
     auto& loop = *static_cast<BulkLoop*>(arg);
-    loop.execute(lane);
+    loop.execute(lane, trace);
     loop.retired.fetch_add(1, std::memory_order_release);
     loop.retired.notify_one();
   }
 };
 
-/// RAII loop announcement for an installed race checker. The checker
-/// hands back a loop token tying every chunk to this loop; because
-/// `begin_loop` fires on the launching thread — inside the launching
-/// chunk, for a nested loop — the checker can reconstruct the full
-/// loop-nesting path and diff inner loops launched from concurrent outer
-/// chunks against each other (see docs/analysis.md).
+/// RAII loop announcement for an installed race checker, under one pin so
+/// `begin_loop` and `end_loop` reach the same checker. The checker hands
+/// back a loop token (0 when none is installed) tying every chunk to this
+/// loop; because `begin_loop` fires on the launching thread — inside the
+/// launching chunk, for a nested loop — the checker can reconstruct the
+/// full loop-nesting path and diff inner loops launched from concurrent
+/// outer chunks against each other (see docs/analysis.md).
 struct AccessLoopScope {
   AccessLoopScope(std::size_t begin, std::size_t end) noexcept
-      : token_(access_begin_loop(begin, end)) {}
-  ~AccessLoopScope() { access_end_loop(token_); }
+      : token_(hook_ ? hook_->begin_loop(begin, end) : 0) {}
+  ~AccessLoopScope() {
+    if (hook_) hook_->end_loop(token_);
+  }
   AccessLoopScope(const AccessLoopScope&) = delete;
   AccessLoopScope& operator=(const AccessLoopScope&) = delete;
 
   [[nodiscard]] std::size_t token() const noexcept { return token_; }
 
  private:
-  std::size_t token_;
+  const HookSlot<AccessHook>::Pin hook_ = HookSlot<AccessHook>::pin();
+  const std::size_t token_;
 };
 
 /// Drive one bulk loop to completion: broadcast, participate, reclaim
@@ -206,30 +217,41 @@ void run_bulk(ThreadPool& pool, std::size_t begin, std::size_t end,
               std::source_location loc = std::source_location::current()) {
   const std::size_t n = end - begin;
   const std::size_t workers = pool.size();
+  const std::size_t lane = pool.this_lane();
+  const char* const file = loc.file_name();
+  const std::uint32_t line = loc.line();
   AccessLoopScope loop_scope(begin, end);
+  // One trace pin for the whole loop on the calling thread: its loop
+  // begin/end and its own chunks reach one tracer, and uninstalling that
+  // tracer waits for kLoopEnd.
+  const auto trace = HookSlot<TraceHook>::pin();
   if (workers == 1 || n == 1) {
     // Inline: a 1-worker pool (or a single chunk) gains nothing from
     // dispatch, and inline execution keeps iteration order sequential.
-    const std::size_t lane = pool.this_lane();
     AccessChunkScope scope(loop_scope.token(), begin, end, lane);
-    PE_TRACE_EMIT_SITE(TraceEventKind::kLoopBegin, &chunk_fn, begin, end,
-                       lane, loc.file_name(), loc.line());
-    PE_TRACE_EMIT_SITE(TraceEventKind::kChunkStart, &chunk_fn, begin, end,
-                       lane, loc.file_name(), loc.line());
+    if (trace) {
+      trace->on_event(TraceEventKind::kLoopBegin, &chunk_fn, begin, end,
+                      lane, file, line);
+      trace->on_event(TraceEventKind::kChunkStart, &chunk_fn, begin, end,
+                      lane, file, line);
+    }
     chunk_fn(begin, end, lane);
-    PE_TRACE_EMIT_SITE(TraceEventKind::kChunkFinish, &chunk_fn, begin, end,
-                       lane, loc.file_name(), loc.line());
-    PE_TRACE_EMIT_SITE(TraceEventKind::kLoopEnd, &chunk_fn, begin, end,
-                       lane, loc.file_name(), loc.line());
+    if (trace) {
+      trace->on_event(TraceEventKind::kChunkFinish, &chunk_fn, begin, end,
+                      lane, file, line);
+      trace->on_event(TraceEventKind::kLoopEnd, &chunk_fn, begin, end, lane,
+                      file, line);
+    }
     return;
   }
   BulkLoop<ChunkFn> loop(begin, n, chunk_fn, schedule, grain, workers,
-                         loop_scope.token(), loc.file_name(), loc.line());
-  PE_TRACE_EMIT_SITE(TraceEventKind::kLoopBegin, &loop, begin, end,
-                     pool.this_lane(), loc.file_name(), loc.line());
+                         loop_scope.token(), file, line);
+  if (trace)
+    trace->on_event(TraceEventKind::kLoopBegin, &loop, begin, end, lane,
+                    file, line);
   const std::size_t pushed =
       pool.bulk_broadcast({&BulkLoop<ChunkFn>::run, &loop});
-  loop.execute(pool.this_lane());
+  loop.execute(lane, trace.get());
   // Own execution returned, so the cursor is drained: copies still queued
   // can contribute nothing — reclaim them instead of waiting for busy
   // workers to get around to them (this is also what makes nested
@@ -241,8 +263,9 @@ void run_bulk(ThreadPool& pool, std::size_t begin, std::size_t end,
     loop.retired.wait(done, std::memory_order_acquire);
     done = loop.retired.load(std::memory_order_acquire);
   }
-  PE_TRACE_EMIT_SITE(TraceEventKind::kLoopEnd, &loop, begin, end,
-                     pool.this_lane(), loc.file_name(), loc.line());
+  if (trace)
+    trace->on_event(TraceEventKind::kLoopEnd, &loop, begin, end, lane, file,
+                    line);
   if (loop.failed.load(std::memory_order_acquire))
     std::rethrow_exception(loop.error);
 }

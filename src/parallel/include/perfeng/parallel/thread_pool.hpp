@@ -35,6 +35,8 @@
 #include <thread>
 #include <vector>
 
+#include "perfeng/common/trace_hook.hpp"
+
 namespace pe {
 
 /// Work-stealing worker pool.
@@ -58,11 +60,12 @@ namespace pe {
 class ThreadPool {
  public:
   /// One schedulable unit. POD on purpose: bulk jobs are replicated by value
-  /// into worker deques with no heap allocation. `fn` receives `arg` and the
+  /// into worker deques with no heap allocation. `fn` receives `arg`, the
   /// executing lane (worker index, or `size()` when run by an external
-  /// participant thread).
+  /// participant thread), and the pin of the trace hook that the worker
+  /// holds for this job copy (null when no tracer is installed).
   struct Job {
-    void (*fn)(void* arg, std::size_t lane) = nullptr;
+    void (*fn)(void* arg, std::size_t lane, TraceHook* trace) = nullptr;
     void* arg = nullptr;
 
     explicit operator bool() const noexcept { return fn != nullptr; }
@@ -174,7 +177,8 @@ class ThreadPool {
   };
 
   template <typename R>
-  static void run_packaged(void* arg, std::size_t /*lane*/) {
+  static void run_packaged(void* arg, std::size_t /*lane*/,
+                           TraceHook* /*trace*/) {
     std::unique_ptr<std::packaged_task<R()>> task(
         static_cast<std::packaged_task<R()>*>(arg));
     (*task)();

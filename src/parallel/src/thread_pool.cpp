@@ -56,7 +56,7 @@ std::size_t next_victim_seed() {
 std::unique_lock<std::mutex> lock_traced(std::mutex& mu, std::size_t lane) {
   std::unique_lock<std::mutex> lock(mu, std::try_to_lock);
   if (!lock.owns_lock()) {
-    PE_TRACE_EMIT(TraceEventKind::kContended, &mu, 0, 0, lane);
+    trace_event(TraceEventKind::kContended, &mu, 0, 0, lane);
     lock.lock();
   }
   return lock;
@@ -152,7 +152,7 @@ void ThreadPool::enqueue(Job job) {
   pending_.fetch_add(1, std::memory_order_seq_cst);
   // Emit before the push: a worker may claim the job the instant it lands,
   // and its kTaskStart must find this kSubmit earlier in the trace.
-  PE_TRACE_EMIT(TraceEventKind::kSubmit, job.arg, 1, 0, this_lane());
+  trace_event(TraceEventKind::kSubmit, job.arg, 1, 0, this_lane());
   if (t_worker.pool == this) {
     Deque& mine = workers_[t_worker.index]->deque;
     const auto lock = lock_traced(mine.mu, t_worker.index);
@@ -170,7 +170,7 @@ std::size_t ThreadPool::bulk_broadcast(Job job) {
   pending_.fetch_add(copies, std::memory_order_seq_cst);
   // Emit before the pushes (see enqueue): claimed copies' kTaskStart
   // events must sort after the one kSubmit they all correlate with.
-  PE_TRACE_EMIT(TraceEventKind::kSubmit, job.arg, copies, 0, this_lane());
+  trace_event(TraceEventKind::kSubmit, job.arg, copies, 0, this_lane());
   for (auto& w : workers_) {
     const auto lock = lock_traced(w->deque.mu, this_lane());
     w->deque.push_bottom_locked(job);
@@ -251,7 +251,7 @@ ThreadPool::Job ThreadPool::find_work(std::size_t index) {
       if (Job job = workers_[victim]->deque.steal_top(index)) {
         pending_.fetch_sub(1, std::memory_order_seq_cst);
         steals_.fetch_add(1, std::memory_order_relaxed);
-        PE_TRACE_EMIT(TraceEventKind::kSteal, job.arg, victim, 0, index);
+        trace_event(TraceEventKind::kSteal, job.arg, victim, 0, index);
         return job;
       }
     }
@@ -268,16 +268,24 @@ void ThreadPool::run_job(Job job) noexcept {
   } catch (...) {
     absorbed_faults_.fetch_add(1, std::memory_order_relaxed);
   }
+  // One trace pin per job copy, handed to the job: `job.fn` may satisfy a
+  // future before kTaskFinish is emitted, and the pin keeps the tracer
+  // that saw kTaskStart installed until kTaskFinish has reached it too.
+  const auto trace = HookSlot<TraceHook>::pin();
+  if (trace)
+    trace->on_event(TraceEventKind::kTaskStart, job.arg, 0, 0,
+                    t_worker.index, nullptr, 0);
   // Packaged tasks carry their exceptions through the future and bulk jobs
   // capture theirs in the loop record; anything that escapes anyway must
   // not take down this worker.
-  PE_TRACE_EMIT(TraceEventKind::kTaskStart, job.arg, 0, 0, t_worker.index);
   try {
-    job.fn(job.arg, t_worker.index);
+    job.fn(job.arg, t_worker.index, trace.get());
   } catch (...) {
     escaped_exceptions_.fetch_add(1, std::memory_order_relaxed);
   }
-  PE_TRACE_EMIT(TraceEventKind::kTaskFinish, job.arg, 0, 0, t_worker.index);
+  if (trace)
+    trace->on_event(TraceEventKind::kTaskFinish, job.arg, 0, 0,
+                    t_worker.index, nullptr, 0);
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
@@ -299,14 +307,16 @@ void ThreadPool::worker_loop(std::size_t index) {
     }
     std::unique_lock lock(mutex_);
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    PE_TRACE_EMIT(TraceEventKind::kPark, this, 0, 0, index);
+    // Park and unpark are single-event pins: no pin is held while parked,
+    // so uninstalling a hook never waits for an idle worker to wake.
+    trace_event(TraceEventKind::kPark, this, 0, 0, index);
     cv_.wait(lock, [&] {
       if (closing_.load(std::memory_order_seq_cst)) return true;
       if (pending_.load(std::memory_order_seq_cst) > 0) return true;
       std::lock_guard pinned_lock(workers_[index]->pinned_mu);
       return !workers_[index]->pinned.empty();
     });
-    PE_TRACE_EMIT(TraceEventKind::kUnpark, this, 0, 0, index);
+    trace_event(TraceEventKind::kUnpark, this, 0, 0, index);
     sleepers_.fetch_sub(1, std::memory_order_seq_cst);
     if (closing_.load(std::memory_order_seq_cst) &&
         pending_.load(std::memory_order_seq_cst) == 0) {
@@ -334,7 +344,7 @@ void ThreadPool::run_on_all(const std::function<void(std::size_t)>& fn) {
           remaining(lanes) {}
   };
   RunAllState state(fn, n);
-  const Job job{+[](void* arg, std::size_t lane) {
+  const Job job{+[](void* arg, std::size_t lane, TraceHook* /*trace*/) {
                   auto& s = *static_cast<RunAllState*>(arg);
                   // Block until every worker holds its pinned job, so each
                   // of the n activities runs on a distinct thread.

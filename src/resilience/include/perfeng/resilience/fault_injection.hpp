@@ -16,6 +16,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "perfeng/common/error.hpp"
@@ -111,20 +112,19 @@ class FaultInjector final : public FaultHook {
 };
 
 /// RAII guard: installs the injector as the process-wide hook on
-/// construction and removes it on destruction. Only one may be active at a
-/// time (nesting throws pe::Error — overlapping chaos plans are a test bug).
+/// construction and removes it on destruction, waiting until no site is
+/// still inside the injector (a delayed site keeps it waiting). Only one may
+/// be active at a time (nesting throws pe::Error — overlapping chaos plans
+/// are a test bug).
 class ScopedFaultInjection {
  public:
-  explicit ScopedFaultInjection(FaultPlan plan);
-  ~ScopedFaultInjection();
-
-  ScopedFaultInjection(const ScopedFaultInjection&) = delete;
-  ScopedFaultInjection& operator=(const ScopedFaultInjection&) = delete;
+  explicit ScopedFaultInjection(FaultPlan plan) : injector_(std::move(plan)) {}
 
   [[nodiscard]] FaultInjector& injector() noexcept { return injector_; }
 
  private:
   FaultInjector injector_;
+  ScopedHook<FaultHook> scope_{injector_};  // uninstalls before injector_ dies
 };
 
 }  // namespace pe::resilience

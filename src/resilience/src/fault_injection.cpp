@@ -129,13 +129,4 @@ int FaultInjector::fires(std::string_view site) const {
   return it == sites_.end() ? 0 : it->second.fires;
 }
 
-ScopedFaultInjection::ScopedFaultInjection(FaultPlan plan)
-    : injector_(std::move(plan)) {
-  PE_REQUIRE(fault_hook() == nullptr,
-             "another fault injection scope is already active");
-  set_fault_hook(&injector_);
-}
-
-ScopedFaultInjection::~ScopedFaultInjection() { set_fault_hook(nullptr); }
-
 }  // namespace pe::resilience

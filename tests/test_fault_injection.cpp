@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "perfeng/common/fault_hook.hpp"
@@ -19,6 +22,7 @@ using pe::resilience::FaultKind;
 using pe::resilience::FaultPlan;
 using pe::resilience::FaultSpec;
 using pe::resilience::ScopedFaultInjection;
+using FaultSlot = pe::HookSlot<pe::FaultHook>;
 
 // Synthetic sites this file uses in fault specs. The injector rejects
 // unknown sites (a typo'd plan must fail loudly, not silently no-op), so
@@ -30,7 +34,7 @@ const bool kScratchSitesRegistered = [] {
 }();
 
 TEST(FaultInjection, NoHookMeansNoOp) {
-  ASSERT_EQ(pe::fault_hook(), nullptr);
+  ASSERT_EQ(FaultSlot::installed(), nullptr);
   EXPECT_NO_THROW(pe::fault_point("kernel.call"));
   EXPECT_DOUBLE_EQ(pe::fault_value("kernel.call", 1.5), 1.5);
 }
@@ -57,14 +61,50 @@ TEST(FaultInjection, ThrowFaultFiresAtSite) {
 TEST(FaultInjection, ScopeInstallsAndRemovesHook) {
   {
     ScopedFaultInjection scope(FaultPlan{});
-    EXPECT_NE(pe::fault_hook(), nullptr);
+    EXPECT_EQ(FaultSlot::installed(), &scope.injector());
   }
-  EXPECT_EQ(pe::fault_hook(), nullptr);
+  EXPECT_EQ(FaultSlot::installed(), nullptr);
 }
 
 TEST(FaultInjection, NestedScopesRejected) {
   ScopedFaultInjection outer(FaultPlan{});
   EXPECT_THROW(ScopedFaultInjection inner(FaultPlan{}), pe::Error);
+  // The rejected install leaves the first hook in place.
+  EXPECT_EQ(FaultSlot::installed(), &outer.injector());
+}
+
+// A site stalled inside the injector holds its pin, so ending the scope
+// waits until at() has returned: the injector never dies under a caller.
+TEST(FaultInjection, ScopeEndWaitsForASiteInsideTheInjector) {
+  FaultPlan plan;
+  plan.faults.push_back(
+      {.site = "s", .kind = FaultKind::kDelay, .delay_seconds = 0.1});
+  auto scope = std::make_unique<ScopedFaultInjection>(std::move(plan));
+  const pe::WallTimer t;
+  std::thread site([] { pe::fault_point("s"); });
+  while (scope->injector().visits("s") == 0) std::this_thread::yield();
+  scope.reset();
+  // at() started after t and slept 0.1 s before returning.
+  EXPECT_GE(t.elapsed(), 0.095);
+  site.join();
+}
+
+// Uninstalling from inside the hook would wait for its own pin: it must
+// abort with a message, never hang.
+TEST(FaultInjectionDeathTest, UninstallWhileHoldingAPinAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  struct SelfRemovingHook final : pe::FaultHook {
+    std::optional<pe::ScopedHook<pe::FaultHook>> scope;
+    void at(std::string_view) override { scope.reset(); }
+    double corrupt(std::string_view, double value) override { return value; }
+  };
+  EXPECT_DEATH(
+      {
+        SelfRemovingHook hook;
+        hook.scope.emplace(hook);
+        pe::fault_point("s");
+      },
+      "holds a pin");
 }
 
 TEST(FaultInjection, SkipFirstLetsEarlyVisitsPass) {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "perfeng/common/json.hpp"
 #include "perfeng/lint/baseline.hpp"
 #include "perfeng/lint/driver.hpp"
 #include "perfeng/lint/lexer.hpp"
@@ -294,9 +295,9 @@ TEST(LintSarif, RendersTheShapeCiAndCodeScannersExpect) {
 }
 
 TEST(LintRender, JsonEscapeHandlesQuotesBackslashesAndControls) {
-  EXPECT_EQ(pe::lint::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(pe::lint::json_escape("tab\there"), "tab\\there");
-  EXPECT_EQ(pe::lint::json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(pe::json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(pe::json_escape("tab\there"), "tab\\there");
+  EXPECT_EQ(pe::json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
 }  // namespace

@@ -157,6 +157,13 @@ TEST(MachineJson, EscapesQuotesAndBackslashes) {
   EXPECT_EQ(back.description, m.description);
 }
 
+TEST(MachineJson, RoundTripsControlCharacters) {
+  Machine m = sample_machine();
+  m.description = "two\nlines,\ta tab, a \r and a \x01";
+  const Machine back = pe::machine::from_json(pe::machine::to_json(m));
+  EXPECT_EQ(back.description, m.description);
+}
+
 // --- malformed input: pe::Error with source + line --------------------------
 
 std::string error_message(const std::string& text,

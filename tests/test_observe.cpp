@@ -1,13 +1,15 @@
 // pe::observe unit tests: ring overflow accounting, the disabled-hook
-// fast path, latency analysis under a simulated clock, exporter validity,
-// capture round-trips, and (chaos-labelled) trace coherence while the
-// fault injector attacks the pool workers mid-loop.
+// fast path, the hook spine's uninstall guarantees, latency analysis under
+// a simulated clock, exporter validity, capture round-trips, and
+// (chaos-labelled) trace coherence while the fault injector attacks the
+// pool workers mid-loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "perfeng/common/error.hpp"
 #include "perfeng/common/trace_hook.hpp"
 #include "perfeng/measure/experiment.hpp"
+#include "perfeng/measure/timer.hpp"
 #include "perfeng/observe/analysis.hpp"
 #include "perfeng/observe/export.hpp"
 #include "perfeng/observe/ring_buffer.hpp"
@@ -34,6 +37,7 @@ using pe::observe::Trace;
 using pe::observe::TraceRecord;
 using pe::observe::Tracer;
 using pe::observe::TracerConfig;
+using TraceSlot = pe::HookSlot<pe::TraceHook>;
 
 // Deterministic tracer clock: tests advance it explicitly. A plain
 // function (TracerConfig::now_ns is a function pointer), so the cursor
@@ -91,27 +95,102 @@ TEST(EventRingTest, ResetForgetsHistory) {
 }
 
 TEST(TracerTest, DisabledHookPathRecordsNothing) {
-  ASSERT_EQ(pe::trace_hook(), nullptr)
+  ASSERT_EQ(TraceSlot::installed(), nullptr)
       << "another test leaked an installed hook";
-  // With no hook installed the macros must be inert no-ops.
-  PE_TRACE_EMIT(TraceEventKind::kSubmit, nullptr, 0, 0, 0);
-  PE_TRACE_EMIT_SITE(TraceEventKind::kLoopBegin, nullptr, 0, 1, 0, "f", 1);
-  pe::TraceHook* const cached = pe::detail::trace_hook_fast();
-  EXPECT_EQ(cached, nullptr);
-  PE_TRACE_EMIT_CACHED(cached, TraceEventKind::kChunkStart, nullptr, 0, 1, 0,
-                       nullptr, 0);
+  // With no hook installed, emission is an inert no-op and pins are empty.
+  pe::trace_event(TraceEventKind::kSubmit, nullptr, 0, 0, 0);
+  EXPECT_FALSE(TraceSlot::pin());
 }
 
 TEST(TracerTest, ScopedTraceInstallsAndRemovesTheHook) {
   Tracer tracer;
-  EXPECT_EQ(pe::trace_hook(), nullptr);
+  EXPECT_EQ(TraceSlot::installed(), nullptr);
   {
     pe::observe::ScopedTrace scope(tracer);
-    EXPECT_EQ(pe::trace_hook(), &tracer);
-    // Overlapping trace scopes are a harness bug and must throw.
+    EXPECT_EQ(TraceSlot::installed(), &tracer);
+    // Overlapping trace scopes are a harness bug and must throw, leaving
+    // the first tracer installed.
     EXPECT_THROW(pe::observe::ScopedTrace nested(tracer), pe::Error);
+    EXPECT_EQ(TraceSlot::installed(), &tracer);
   }
-  EXPECT_EQ(pe::trace_hook(), nullptr);
+  EXPECT_EQ(TraceSlot::installed(), nullptr);
+}
+
+// Blocks inside the first kTaskStart it sees for 100 ms.
+class StallingHook final : public pe::TraceHook {
+ public:
+  void on_event(TraceEventKind kind, const void*, std::uint64_t,
+                std::uint64_t, std::size_t, const char*,
+                std::uint32_t) noexcept override {
+    if (kind != TraceEventKind::kTaskStart || entered.exchange(true)) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    left.store(true);
+  }
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> left{false};
+};
+
+TEST(HookSpineTest, ScopeEndWaitsForACallbackInsideOnEvent) {
+  pe::ThreadPool pool(2);
+  StallingHook hook;
+  auto scope = std::make_unique<pe::ScopedHook<pe::TraceHook>>(hook);
+  std::future<void> done = pool.submit([] {});
+  while (!hook.entered.load()) std::this_thread::yield();
+  scope.reset();
+  EXPECT_TRUE(hook.left.load());
+  done.get();
+}
+
+// A task satisfies its future before run_job emits kTaskFinish. Ending
+// the trace scope while the task runs must still deliver that kTaskFinish.
+TEST(HookSpineTest, TraceScopeEndDeliversTheFinishOfARunningTask) {
+  pe::ThreadPool pool(2);
+  TracerConfig cfg;
+  cfg.lanes = pool.size() + 1;
+  Tracer tracer(cfg);
+  std::atomic<bool> started{false};
+  std::future<void> done;
+  {
+    pe::observe::ScopedTrace scope(tracer);
+    done = pool.submit([&started] {
+      started.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    });
+    while (!started.load()) std::this_thread::yield();
+  }
+  done.get();
+  const Trace trace = tracer.take();
+  EXPECT_EQ(trace.count(TraceEventKind::kTaskStart), 1u);
+  EXPECT_EQ(trace.count(TraceEventKind::kTaskFinish), 1u);
+}
+
+class ParkCounter final : public pe::TraceHook {
+ public:
+  void on_event(TraceEventKind kind, const void*, std::uint64_t,
+                std::uint64_t, std::size_t, const char*,
+                std::uint32_t) noexcept override {
+    if (kind == TraceEventKind::kPark) parks.fetch_add(1);
+    if (kind == TraceEventKind::kUnpark) unparks.fetch_add(1);
+  }
+
+  std::atomic<int> parks{0};
+  std::atomic<int> unparks{0};
+};
+
+// Park and unpark are single-event pins, so no pin is held while a worker
+// sleeps: uninstall returns at once and wakes nobody. (A pin held across
+// the park would hang this test.)
+TEST(HookSpineTest, UninstallDoesNotWaitForParkedWorkers) {
+  ParkCounter hook;
+  auto scope = std::make_unique<pe::ScopedHook<pe::TraceHook>>(hook);
+  pe::ThreadPool pool(3);
+  // No work ever arrives, so each worker parks exactly once.
+  while (hook.parks.load() < 3) std::this_thread::yield();
+  const pe::WallTimer t;
+  scope.reset();
+  EXPECT_LT(t.elapsed(), 1.0);
+  EXPECT_EQ(hook.unparks.load(), 0);
 }
 
 TEST(TracerTest, OutOfRangeLanesShareTheLastRing) {
@@ -309,6 +388,21 @@ TEST(ExportTest, CaptureRoundTripsThroughSaveAndLoad) {
     ASSERT_NE(reloaded.events[i].file, nullptr);
     EXPECT_STREQ(reloaded.events[i].file, trace.events[i].file);
   }
+}
+
+TEST(ExportTest, CaptureRoundTripsPathsThatNeedEscaping) {
+  TracerConfig cfg;
+  cfg.lanes = 1;
+  cfg.now_ns = sim_now;
+  Tracer tracer(cfg);
+  static const char* const kFile = "C:\\src\\\"odd\"\tname.cpp";
+  tracer.on_event(TraceEventKind::kLoopBegin, nullptr, 0, 1, 0, kFile, 7);
+  std::stringstream io;
+  tracer.take().save(io);
+  const Trace reloaded = Trace::load(io);
+  ASSERT_EQ(reloaded.events.size(), 1u);
+  ASSERT_NE(reloaded.events[0].file, nullptr);
+  EXPECT_STREQ(reloaded.events[0].file, kFile);
 }
 
 TEST(ExportTest, LoadRejectsMalformedCaptures) {
