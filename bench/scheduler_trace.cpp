@@ -6,18 +6,22 @@
 //
 // `--check` is the CI gate: it validates that both exports are
 // well-formed (the capture round-trips through Trace::load, collapsed
-// stacks carry parallel_for provenance frames, the Chrome JSON has the
-// expected structure) and that the *disabled*-hook path — the one relaxed
-// load + branch every pin site pays when no tracer is installed, and the
-// one branch per chunk — adds less than 2% to bulk parallel_for chunk
-// dispatch.
+// stacks carry parallel_for provenance frames, the Chrome JSON parses and
+// has a slice at the exact start of every captured chunk) and that the
+// *disabled*-hook path — the one relaxed load + branch every pin site pays
+// when no tracer is installed, and the one branch per chunk — adds less
+// than 2% to bulk parallel_for chunk dispatch.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "perfeng/common/error.hpp"
+#include "perfeng/common/json.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/trace_hook.hpp"
 #include "perfeng/kernels/matmul.hpp"
@@ -167,23 +171,52 @@ bool check_collapsed(const std::string& folded) {
   return true;
 }
 
-bool check_chrome(const std::string& json) {
-  const auto has = [&](const char* needle) {
-    return json.find(needle) != std::string::npos;
-  };
-  if (!has("\"traceEvents\"") || !has("\"ph\":\"X\"") ||
-      !has("thread_name")) {
+// The Chrome export, parsed back: lane names, complete slices, and for
+// every chunk_start of the capture a slice on its lane at ns / 1000 (the
+// export's microseconds, exact to 1 ns).
+bool check_chrome(const std::string& json, const pe::observe::Trace& trace) {
+  pe::JsonValue doc;
+  try {
+    doc = pe::json_parse(json, "chrome trace");
+  } catch (const pe::Error& e) {
+    std::fprintf(stderr, "CHECK: %s\n", e.what());
+    return false;
+  }
+  const pe::JsonValue* events = doc.find("traceEvents");
+  if (events == nullptr) {
+    std::fprintf(stderr, "CHECK: chrome trace has no traceEvents\n");
+    return false;
+  }
+  std::map<std::uint64_t, std::vector<double>> slice_ts;  // tid -> ts
+  bool named = false;
+  for (const pe::JsonValue& e : events->array) {
+    const pe::JsonValue* ph = e.find("ph");
+    const pe::JsonValue* name = e.find("name");
+    const pe::JsonValue* tid = e.find("tid");
+    const pe::JsonValue* ts = e.find("ts");
+    if (ph == nullptr || tid == nullptr || !tid->as_uint()) continue;
+    named |= ph->text == "M" && name != nullptr && name->text == "thread_name";
+    if (ph->text == "X" && ts != nullptr)
+      slice_ts[*tid->as_uint()].push_back(ts->number);
+  }
+  if (slice_ts.empty() || !named) {
     std::fprintf(stderr, "CHECK: chrome trace missing required structure\n");
     return false;
   }
-  long depth = 0;
-  for (char c : json) {
-    if (c == '{') ++depth;
-    if (c == '}') --depth;
-    if (depth < 0) break;
+  for (auto& [tid, ts] : slice_ts) std::sort(ts.begin(), ts.end());
+  std::size_t unmatched = 0;
+  for (const pe::observe::TraceRecord& e : trace.events) {
+    if (e.kind != pe::TraceEventKind::kChunkStart) continue;
+    const double want = static_cast<double>(e.ns) / 1000.0;
+    const std::vector<double>& ts = slice_ts[e.lane];
+    const auto it = std::lower_bound(ts.begin(), ts.end(), want - 1e-3);
+    if (it == ts.end() || *it > want + 1e-3) ++unmatched;
   }
-  if (depth != 0) {
-    std::fprintf(stderr, "CHECK: chrome trace braces unbalanced\n");
+  if (unmatched != 0) {
+    std::fprintf(stderr,
+                 "CHECK: %zu chunk_start events have no chrome slice at "
+                 "ns / 1000 on their lane\n",
+                 unmatched);
     return false;
   }
   return true;
@@ -280,7 +313,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
   ok = check_collapsed(folded_ss.str()) && ok;
-  ok = check_chrome(chrome_ss.str()) && ok;
+  ok = check_chrome(chrome_ss.str(), trace) && ok;
 
   // Round-trip: the saved capture must reload to the same event stream.
   try {

@@ -12,9 +12,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 namespace pe {
+
+/// 64-bit FNV-1a of `bytes`. Unlike std::hash, whose values are
+/// implementation-defined, it is the same on every platform, so it keys
+/// calibration hashes and the per-name streams seeded from one `Rng` seed.
+[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes) noexcept;
 
 /// Deterministic, seedable PRNG (xoshiro256**) with portable distributions.
 class Rng {

@@ -22,6 +22,15 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 
 }  // namespace
 
+std::uint64_t fnv1a(std::string_view bytes) noexcept {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 void Rng::reseed(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);

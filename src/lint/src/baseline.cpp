@@ -1,8 +1,8 @@
 #include "perfeng/lint/baseline.hpp"
 
-#include <algorithm>
-#include <cctype>
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "perfeng/common/error.hpp"
@@ -10,75 +10,38 @@
 
 namespace pe::lint {
 
-namespace {
-
-/// Extract the string value of `"key": "..."` from a single-line JSON
-/// object. Returns false if the key is absent or the value malformed.
-bool extract_string(const std::string& line, const std::string& key,
-                    std::string& out) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t p = line.find(needle);
-  if (p == std::string::npos) return false;
-  p += needle.size();
-  while (p < line.size() && (line[p] == ' ' || line[p] == '\t')) ++p;
-  if (p >= line.size() || line[p] != '"') return false;
-  ++p;
-  out.clear();
-  while (p < line.size()) {
-    const char c = line[p];
-    if (c == '\\') {
-      p = json_unescape(line, p, out);
-      if (p == std::string::npos) return false;
-      continue;
-    }
-    if (c == '"') return true;
-    out.push_back(c);
-    ++p;
-  }
-  return false;
-}
-
-bool extract_number(const std::string& line, const std::string& key,
-                    std::size_t& out) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t p = line.find(needle);
-  if (p == std::string::npos) return false;
-  p += needle.size();
-  while (p < line.size() && (line[p] == ' ' || line[p] == '\t')) ++p;
-  std::size_t e = p;
-  while (e < line.size() && std::isdigit(static_cast<unsigned char>(line[e])))
-    ++e;
-  if (e == p) return false;
-  out = static_cast<std::size_t>(std::stoull(line.substr(p, e - p)));
-  return true;
-}
-
-}  // namespace
-
 Baseline Baseline::load(const std::filesystem::path& path) {
   Baseline b;
   std::ifstream in(path);
   if (!in) return b;  // missing baseline: everything is new
-  std::size_t lineno = 0;
-  for (std::string line; std::getline(in, line);) {
-    ++lineno;
-    if (line.find("\"rule\"") == std::string::npos) continue;
-    std::string rule;
-    std::string file;
-    std::string message;
-    std::size_t count = 1;
-    if (!extract_string(line, "rule", rule) ||
-        !extract_string(line, "file", file) ||
-        !extract_string(line, "message", message)) {
-      throw pe::Error("malformed baseline entry at " + path.string() + ":" +
-                      std::to_string(lineno));
-    }
-    extract_number(line, "count", count);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::string source = path.string();
+  const JsonValue doc = json_parse(text.str(), source);
+  const JsonValue* entries = doc.find("entries");
+  if (doc.kind != JsonValue::Kind::kObject || entries == nullptr ||
+      entries->kind != JsonValue::Kind::kArray)
+    json_error(source, doc.line, "baseline needs an \"entries\" array");
+  for (const JsonValue& entry : entries->array) {
+    const auto field = [&](const char* key) -> const std::string& {
+      const JsonValue* v = entry.find(key);
+      if (v == nullptr || v->kind != JsonValue::Kind::kString)
+        json_error(source, entry.line,
+                   std::string("malformed baseline entry: no string '") +
+                       key + "'");
+      return v->text;
+    };
     Finding f;
-    f.rule = rule;
-    f.file = file;
-    f.message = message;
-    b.counts_[finding_key(f)] += count;
+    f.rule = field("rule");
+    f.file = field("file");
+    f.message = field("message");
+    std::optional<std::uint64_t> count = 1;
+    if (const JsonValue* c = entry.find("count")) count = c->as_uint();
+    if (!count)
+      json_error(source, entry.line,
+                 "malformed baseline entry: 'count' must be a "
+                 "non-negative integer");
+    b.counts_[finding_key(f)] += *count;
   }
   return b;
 }

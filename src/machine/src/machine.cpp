@@ -1,13 +1,15 @@
 #include "perfeng/machine/machine.hpp"
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
-#include <utility>
 
 #include "perfeng/common/error.hpp"
 #include "perfeng/common/json.hpp"
+#include "perfeng/common/rng.hpp"
 #include "perfeng/common/table.hpp"
 #include "perfeng/common/units.hpp"
 
@@ -15,258 +17,69 @@ namespace pe::machine {
 
 namespace {
 
-// --- canonical double formatting -------------------------------------------
-// Shortest decimal form that round-trips through strtod exactly, so the
-// serialized form is both human-readable and lossless, and re-serializing a
-// parsed machine is byte-identical (the byte-stability contract).
-std::string format_double(double v) {
-  char buf[40];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
-
-// --- minimal JSON document model -------------------------------------------
-// Just enough JSON for machine files, with the 1-based line of every value
-// retained so malformed input is reported the way the CSV and Matrix Market
-// loaders report it: "<source>: line N: what went wrong".
-
-struct Value {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<Value> array;
-  std::vector<std::pair<std::string, Value>> object;
-  std::size_t line = 1;
-
-  [[nodiscard]] const char* kind_name() const {
-    switch (kind) {
-      case Kind::kNull: return "null";
-      case Kind::kBool: return "bool";
-      case Kind::kNumber: return "number";
-      case Kind::kString: return "string";
-      case Kind::kArray: return "array";
-      case Kind::kObject: return "object";
-    }
-    return "?";
-  }
-};
-
-class Parser {
- public:
-  Parser(std::string_view text, std::string_view source)
-      : text_(text), source_(source) {}
-
-  Value parse_document() {
-    Value v = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after document", line_);
-    return v;
-  }
-
-  [[noreturn]] void fail(const std::string& msg, std::size_t line) const {
-    throw Error("machine: " + std::string(source_) + ": line " +
-                std::to_string(line) + ": " + msg);
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') ++line_;
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input", line_);
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "', got '" + text_[pos_] + "'",
-           line_);
-    }
-    ++pos_;
-  }
-
-  Value parse_value() {
-    const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return parse_string();
-    if (c == 't' || c == 'f' || c == 'n') return parse_keyword();
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    fail(std::string("unexpected character '") + c + "'", line_);
-  }
-
-  Value parse_object() {
-    Value v;
-    v.kind = Value::Kind::kObject;
-    v.line = line_;
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      Value key = parse_string();
-      expect(':');
-      Value item = parse_value();
-      v.object.emplace_back(std::move(key.text), std::move(item));
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}' in object", line_);
-    }
-  }
-
-  Value parse_array() {
-    Value v;
-    v.kind = Value::Kind::kArray;
-    v.line = line_;
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']' in array", line_);
-    }
-  }
-
-  Value parse_string() {
-    Value v;
-    v.kind = Value::Kind::kString;
-    if (peek() != '"') fail("expected string", line_);
-    v.line = line_;
-    ++pos_;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string", v.line);
-      const char c = text_[pos_++];
-      if (c == '"') return v;
-      if (c == '\n') fail("newline inside string", v.line);
-      if (c == '\\') {
-        const std::size_t next = json_unescape(text_, pos_ - 1, v.text);
-        if (next == std::string_view::npos) {
-          const std::string_view bad = text_.substr(pos_ - 1, 2);
-          fail("unsupported escape '" + std::string(bad) + "'", v.line);
-        }
-        pos_ = next;
-      } else {
-        v.text.push_back(c);
-      }
-    }
-  }
-
-  Value parse_number() {
-    Value v;
-    v.kind = Value::Kind::kNumber;
-    v.line = line_;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    v.number = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || token.empty())
-      fail("malformed number '" + token + "'", v.line);
-    return v;
-  }
-
-  Value parse_keyword() {
-    Value v;
-    v.line = line_;
-    auto match = [&](std::string_view word) {
-      if (text_.substr(pos_, word.size()) != word) return false;
-      pos_ += word.size();
-      return true;
-    };
-    if (match("true")) {
-      v.kind = Value::Kind::kBool;
-      v.boolean = true;
-    } else if (match("false")) {
-      v.kind = Value::Kind::kBool;
-    } else if (match("null")) {
-      v.kind = Value::Kind::kNull;
-    } else {
-      fail("unexpected token", line_);
-    }
-    return v;
-  }
-
-  std::string_view text_;
-  std::string_view source_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-};
-
 // --- DOM -> Machine mapping ------------------------------------------------
+// Errors read "machine: <source>: line N: what", the same form as the CSV
+// and Matrix Market loaders.
 
-double as_number(const Parser& p, const Value& v, const std::string& key) {
-  if (v.kind != Value::Kind::kNumber)
-    p.fail("key '" + key + "' must be a number, got " + v.kind_name(),
-           v.line);
+double as_number(std::string_view src, const JsonValue& v,
+                 const std::string& key) {
+  if (v.kind != JsonValue::Kind::kNumber)
+    json_error(src, v.line,
+               "key '" + key + "' must be a number, got " + v.kind_name());
   return v.number;
 }
 
-std::string as_string(const Parser& p, const Value& v,
+std::string as_string(std::string_view src, const JsonValue& v,
                       const std::string& key) {
-  if (v.kind != Value::Kind::kString)
-    p.fail("key '" + key + "' must be a string, got " + v.kind_name(),
-           v.line);
+  if (v.kind != JsonValue::Kind::kString)
+    json_error(src, v.line,
+               "key '" + key + "' must be a string, got " + v.kind_name());
   return v.text;
 }
 
-std::size_t as_size(const Parser& p, const Value& v, const std::string& key) {
-  const double d = as_number(p, v, key);
-  if (d < 0.0 || d != static_cast<double>(static_cast<std::size_t>(d)))
-    p.fail("key '" + key + "' must be a non-negative integer", v.line);
-  return static_cast<std::size_t>(d);
+std::uint64_t as_uint(std::string_view src, const JsonValue& v,
+                      const std::string& key, std::uint64_t max) {
+  (void)as_number(src, v, key);
+  const std::optional<std::uint64_t> u = v.as_uint();
+  if (!u || *u > max)
+    json_error(src, v.line,
+               "key '" + key + "' must be an integer from 0 to " +
+                   std::to_string(max));
+  return *u;
 }
 
-MemoryLevel level_from_value(const Parser& p, const Value& v) {
-  if (v.kind != Value::Kind::kObject)
-    p.fail("hierarchy entries must be objects", v.line);
+const JsonValue& as_object(std::string_view src, const JsonValue& v,
+                           const std::string& key) {
+  if (v.kind != JsonValue::Kind::kObject)
+    json_error(src, v.line, "key '" + key + "' must be an object");
+  return v;
+}
+
+MemoryLevel level_from_value(std::string_view src, const JsonValue& v) {
+  if (v.kind != JsonValue::Kind::kObject)
+    json_error(src, v.line, "hierarchy entries must be objects");
   MemoryLevel level;
   bool saw_name = false, saw_bandwidth = false;
   for (const auto& [key, item] : v.object) {
     if (key == "level") {
-      level.name = as_string(p, item, key);
+      level.name = as_string(src, item, key);
       saw_name = true;
     } else if (key == "bandwidth") {
-      level.bandwidth = as_number(p, item, key);
+      level.bandwidth = as_number(src, item, key);
       saw_bandwidth = true;
     } else if (key == "latency") {
-      level.latency = as_number(p, item, key);
+      level.latency = as_number(src, item, key);
     } else if (key == "capacity") {
-      level.capacity = as_size(p, item, key);
+      level.capacity = as_uint(src, item, key, SIZE_MAX);
     } else if (key == "line_bytes") {
-      level.line_bytes = as_size(p, item, key);
+      level.line_bytes = as_uint(src, item, key, SIZE_MAX);
     } else {
-      p.fail("unknown hierarchy key '" + key + "'", item.line);
+      json_error(src, item.line, "unknown hierarchy key '" + key + "'");
     }
   }
-  if (!saw_name) p.fail("hierarchy entry missing 'level'", v.line);
-  if (!saw_bandwidth) p.fail("hierarchy entry missing 'bandwidth'", v.line);
+  if (!saw_name) json_error(src, v.line, "hierarchy entry missing 'level'");
+  if (!saw_bandwidth)
+    json_error(src, v.line, "hierarchy entry missing 'bandwidth'");
   return level;
 }
 
@@ -353,15 +166,9 @@ std::string Machine::summary() const {
 std::string Machine::calibration_hash() const {
   // FNV-1a over the canonical JSON form: platform-stable, and any change
   // to any calibrated number changes the hash.
-  const std::string canonical = to_json(*this);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : canonical) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(fnv1a(to_json(*this))));
   return buf;
 }
 
@@ -371,32 +178,32 @@ std::string to_json(const Machine& m) {
   ss << "  \"name\": " << json_quote(m.name) << ",\n";
   ss << "  \"description\": " << json_quote(m.description) << ",\n";
   ss << "  \"source\": " << json_quote(m.source) << ",\n";
-  ss << "  \"peak_flops\": " << format_double(m.peak_flops) << ",\n";
+  ss << "  \"peak_flops\": " << json_double(m.peak_flops) << ",\n";
   ss << "  \"cores\": " << m.cores << ",\n";
   ss << "  \"hierarchy\": [";
   for (std::size_t i = 0; i < m.hierarchy.size(); ++i) {
     const MemoryLevel& level = m.hierarchy[i];
     ss << (i == 0 ? "\n" : ",\n");
     ss << "    { \"level\": " << json_quote(level.name)
-       << ", \"bandwidth\": " << format_double(level.bandwidth)
-       << ", \"latency\": " << format_double(level.latency)
+       << ", \"bandwidth\": " << json_double(level.bandwidth)
+       << ", \"latency\": " << json_double(level.latency)
        << ", \"capacity\": " << level.capacity
        << ", \"line_bytes\": " << level.line_bytes << " }";
   }
   ss << "\n  ]";
   if (m.has_energy()) {
     ss << ",\n  \"energy\": { \"static_watts\": "
-       << format_double(m.static_watts) << ", \"peak_dynamic_watts\": "
-       << format_double(m.peak_dynamic_watts) << " }";
+       << json_double(m.static_watts) << ", \"peak_dynamic_watts\": "
+       << json_double(m.peak_dynamic_watts) << " }";
   }
   if (m.has_link()) {
-    ss << ",\n  \"link\": { \"alpha\": " << format_double(m.link_alpha)
-       << ", \"beta\": " << format_double(m.link_beta) << " }";
+    ss << ",\n  \"link\": { \"alpha\": " << json_double(m.link_alpha)
+       << ", \"beta\": " << json_double(m.link_beta) << " }";
   }
   if (m.has_scheduler()) {
     ss << ",\n  \"scheduler\": { \"submit_ns\": "
-       << format_double(m.sched_submit_ns)
-       << ", \"bulk_ns\": " << format_double(m.sched_bulk_ns) << " }";
+       << json_double(m.sched_submit_ns)
+       << ", \"bulk_ns\": " << json_double(m.sched_bulk_ns) << " }";
   }
   if (m.has_simd()) {
     ss << ",\n  \"simd\": { \"width_bits\": " << m.simd_width_bits
@@ -407,93 +214,86 @@ std::string to_json(const Machine& m) {
 }
 
 Machine from_json(std::string_view text, std::string_view source) {
-  Parser parser(text, source);
-  const Value doc = parser.parse_document();
-  if (doc.kind != Value::Kind::kObject)
-    parser.fail("machine file must be a JSON object", doc.line);
+  const std::string src = "machine: " + std::string(source);
+  const JsonValue doc = json_parse(text, src);
+  if (doc.kind != JsonValue::Kind::kObject)
+    json_error(src, doc.line, "machine file must be a JSON object");
 
   Machine m;
   bool saw_name = false, saw_peak = false, saw_hierarchy = false;
   for (const auto& [key, v] : doc.object) {
     if (key == "name") {
-      m.name = as_string(parser, v, key);
+      m.name = as_string(src, v, key);
       saw_name = true;
     } else if (key == "description") {
-      m.description = as_string(parser, v, key);
+      m.description = as_string(src, v, key);
     } else if (key == "source") {
-      m.source = as_string(parser, v, key);
+      m.source = as_string(src, v, key);
     } else if (key == "peak_flops") {
-      m.peak_flops = as_number(parser, v, key);
+      m.peak_flops = as_number(src, v, key);
       saw_peak = true;
     } else if (key == "cores") {
-      m.cores = static_cast<unsigned>(as_size(parser, v, key));
+      m.cores = static_cast<unsigned>(as_uint(src, v, key, UINT_MAX));
     } else if (key == "hierarchy") {
-      if (v.kind != Value::Kind::kArray)
-        parser.fail("key 'hierarchy' must be an array", v.line);
-      for (const Value& item : v.array)
-        m.hierarchy.push_back(level_from_value(parser, item));
+      if (v.kind != JsonValue::Kind::kArray)
+        json_error(src, v.line, "key 'hierarchy' must be an array");
+      for (const JsonValue& item : v.array)
+        m.hierarchy.push_back(level_from_value(src, item));
       saw_hierarchy = true;
     } else if (key == "energy") {
-      if (v.kind != Value::Kind::kObject)
-        parser.fail("key 'energy' must be an object", v.line);
-      for (const auto& [ekey, ev] : v.object) {
+      for (const auto& [ekey, ev] : as_object(src, v, key).object) {
         if (ekey == "static_watts") {
-          m.static_watts = as_number(parser, ev, ekey);
+          m.static_watts = as_number(src, ev, ekey);
         } else if (ekey == "peak_dynamic_watts") {
-          m.peak_dynamic_watts = as_number(parser, ev, ekey);
+          m.peak_dynamic_watts = as_number(src, ev, ekey);
         } else {
-          parser.fail("unknown energy key '" + ekey + "'", ev.line);
+          json_error(src, ev.line, "unknown energy key '" + ekey + "'");
         }
       }
     } else if (key == "link") {
-      if (v.kind != Value::Kind::kObject)
-        parser.fail("key 'link' must be an object", v.line);
-      for (const auto& [lkey, lv] : v.object) {
+      for (const auto& [lkey, lv] : as_object(src, v, key).object) {
         if (lkey == "alpha") {
-          m.link_alpha = as_number(parser, lv, lkey);
+          m.link_alpha = as_number(src, lv, lkey);
         } else if (lkey == "beta") {
-          m.link_beta = as_number(parser, lv, lkey);
+          m.link_beta = as_number(src, lv, lkey);
         } else {
-          parser.fail("unknown link key '" + lkey + "'", lv.line);
+          json_error(src, lv.line, "unknown link key '" + lkey + "'");
         }
       }
     } else if (key == "simd") {
-      if (v.kind != Value::Kind::kObject)
-        parser.fail("key 'simd' must be an object", v.line);
-      for (const auto& [mkey, mv] : v.object) {
+      for (const auto& [mkey, mv] : as_object(src, v, key).object) {
         if (mkey == "width_bits") {
           m.simd_width_bits =
-              static_cast<unsigned>(as_size(parser, mv, mkey));
+              static_cast<unsigned>(as_uint(src, mv, mkey, UINT_MAX));
         } else if (mkey == "fma") {
-          if (mv.kind != Value::Kind::kBool)
-            parser.fail("key 'fma' must be a bool, got " +
-                            std::string(mv.kind_name()),
-                        mv.line);
+          if (mv.kind != JsonValue::Kind::kBool)
+            json_error(src, mv.line,
+                       "key 'fma' must be a bool, got " +
+                           std::string(mv.kind_name()));
           m.simd_fma = mv.boolean;
         } else {
-          parser.fail("unknown simd key '" + mkey + "'", mv.line);
+          json_error(src, mv.line, "unknown simd key '" + mkey + "'");
         }
       }
     } else if (key == "scheduler") {
-      if (v.kind != Value::Kind::kObject)
-        parser.fail("key 'scheduler' must be an object", v.line);
-      for (const auto& [skey, sv] : v.object) {
+      for (const auto& [skey, sv] : as_object(src, v, key).object) {
         if (skey == "submit_ns") {
-          m.sched_submit_ns = as_number(parser, sv, skey);
+          m.sched_submit_ns = as_number(src, sv, skey);
         } else if (skey == "bulk_ns") {
-          m.sched_bulk_ns = as_number(parser, sv, skey);
+          m.sched_bulk_ns = as_number(src, sv, skey);
         } else {
-          parser.fail("unknown scheduler key '" + skey + "'", sv.line);
+          json_error(src, sv.line, "unknown scheduler key '" + skey + "'");
         }
       }
     } else {
-      parser.fail("unknown key '" + key + "'", v.line);
+      json_error(src, v.line, "unknown key '" + key + "'");
     }
   }
-  if (!saw_name) parser.fail("missing required key 'name'", doc.line);
-  if (!saw_peak) parser.fail("missing required key 'peak_flops'", doc.line);
+  if (!saw_name) json_error(src, doc.line, "missing required key 'name'");
+  if (!saw_peak)
+    json_error(src, doc.line, "missing required key 'peak_flops'");
   if (!saw_hierarchy)
-    parser.fail("missing required key 'hierarchy'", doc.line);
+    json_error(src, doc.line, "missing required key 'hierarchy'");
   m.check();
   return m;
 }

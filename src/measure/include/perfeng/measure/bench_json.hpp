@@ -42,8 +42,7 @@ class BenchReport {
   void set_machine(std::string name, std::string calibration_hash);
 
   /// Record a scalar context value (pool_threads, tasks_per_batch, ...).
-  /// Integral values are rendered without a fractional part. Re-setting a
-  /// key overwrites; order is first-set order.
+  /// Re-setting a key overwrites; order is first-set order.
   void set_context(const std::string& key, double value);
 
   /// Add a metric with its full per-repetition sample distribution. The
@@ -61,7 +60,9 @@ class BenchReport {
     return metrics_;
   }
 
-  /// Render the report as pe-bench-v1 JSON (stable key order).
+  /// Render the report as pe-bench-v1 JSON (stable key order). Every
+  /// number is written by `json_double`, so it reads back as the same
+  /// double, and a non-finite value is written as `null`.
   [[nodiscard]] std::string to_json() const;
 
   /// Write `to_json()` to `path`; throws pe::Error on I/O failure.

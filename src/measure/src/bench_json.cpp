@@ -1,7 +1,5 @@
 #include "perfeng/measure/bench_json.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -9,25 +7,6 @@
 #include "perfeng/common/json.hpp"
 
 namespace pe {
-
-namespace {
-
-/// JSON-safe number rendering: 6 significant digits, integral values
-/// without a fractional part, non-finite values as null (JSON has no NaN).
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
 
 BenchReport::BenchReport(std::string bench) : bench_(std::move(bench)) {
   PE_REQUIRE(!bench_.empty(), "bench report needs a name");
@@ -83,7 +62,7 @@ std::string BenchReport::to_json() const {
   for (std::size_t i = 0; i < context_.size(); ++i) {
     if (i) out << ", ";
     out << json_quote(context_[i].first) << ": "
-        << json_number(context_[i].second);
+        << json_double(context_[i].second);
   }
   out << "},\n";
   out << "  \"metrics\": [";
@@ -92,17 +71,17 @@ std::string BenchReport::to_json() const {
     out << (i ? ",\n    {" : "\n    {");
     out << "\"name\": " << json_quote(m.name)
         << ", \"unit\": " << json_quote(m.unit) << ",\n";
-    out << "     \"mean\": " << json_number(m.summary.mean)
-        << ", \"median\": " << json_number(m.summary.median)
-        << ", \"min\": " << json_number(m.summary.min)
-        << ", \"max\": " << json_number(m.summary.max)
-        << ", \"stddev\": " << json_number(m.summary.stddev)
-        << ", \"p05\": " << json_number(m.summary.p05)
-        << ", \"p95\": " << json_number(m.summary.p95) << ",\n";
+    out << "     \"mean\": " << json_double(m.summary.mean)
+        << ", \"median\": " << json_double(m.summary.median)
+        << ", \"min\": " << json_double(m.summary.min)
+        << ", \"max\": " << json_double(m.summary.max)
+        << ", \"stddev\": " << json_double(m.summary.stddev)
+        << ", \"p05\": " << json_double(m.summary.p05)
+        << ", \"p95\": " << json_double(m.summary.p95) << ",\n";
     out << "     \"samples\": [";
     for (std::size_t s = 0; s < m.samples.size(); ++s) {
       if (s) out << ", ";
-      out << json_number(m.samples[s]);
+      out << json_double(m.samples[s]);
     }
     out << "]}";
   }

@@ -33,7 +33,8 @@ using FoldedStacks = std::map<std::string, std::uint64_t>;
 void write_collapsed(std::ostream& out, const FoldedStacks& stacks);
 void write_collapsed(std::ostream& out, const Trace& trace);
 
-/// Write the Chrome trace_event JSON timeline of a captured trace.
+/// Write the Chrome trace_event JSON timeline of a captured trace. `ts`
+/// and `dur` are microseconds that read back exactly (`ts` is ns / 1000).
 void write_chrome_trace(std::ostream& out, const Trace& trace);
 
 /// Render the provenance frame of one record (`parallel_for@file:line`).

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "perfeng/observe/ring_buffer.hpp"
@@ -38,9 +39,11 @@ struct Trace {
 
   /// Parse a capture written by `save`. Interned strings (provenance
   /// files) are stored in the returned trace's string pool, so records
-  /// stay valid for the trace's lifetime. Throws pe::Error with a
-  /// line-numbered message on malformed input.
-  [[nodiscard]] static Trace load(std::istream& in);
+  /// stay valid for the trace's lifetime. Throws pe::Error
+  /// "<source>: line N: what" on malformed input; `load_file` names the
+  /// file as the source.
+  [[nodiscard]] static Trace load(std::istream& in,
+                                  std::string_view source = "trace capture");
   [[nodiscard]] static Trace load_file(const std::string& path);
 
   /// Owning storage for provenance strings of loaded traces; untouched

@@ -154,9 +154,9 @@ void write_chrome_trace(std::ostream& out, const Trace& trace) {
     sep();
     out << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << iv.lane
         << ",\"name\":" << json_quote(iv.frame)
-        << ",\"ts\":" << static_cast<double>(iv.start_ns) / 1000.0
+        << ",\"ts\":" << json_double(static_cast<double>(iv.start_ns) / 1000.0)
         << ",\"dur\":"
-        << static_cast<double>(iv.end_ns - iv.start_ns) / 1000.0;
+        << json_double(static_cast<double>(iv.end_ns - iv.start_ns) / 1000.0);
     if (iv.hi > iv.lo)
       out << ",\"args\":{\"lo\":" << iv.lo << ",\"hi\":" << iv.hi << "}";
     out << "}";
@@ -169,7 +169,8 @@ void write_chrome_trace(std::ostream& out, const Trace& trace) {
     sep();
     out << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":" << e.lane
         << ",\"name\":\"" << trace_event_kind_name(e.kind)
-        << "\",\"ts\":" << static_cast<double>(e.ns) / 1000.0 << "}";
+        << "\",\"ts\":" << json_double(static_cast<double>(e.ns) / 1000.0)
+        << "}";
   }
   out << "\n]}\n";
 }

@@ -2,20 +2,20 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <istream>
 #include <map>
+#include <optional>
 #include <ostream>
-#include <sstream>
 
 #include "perfeng/common/error.hpp"
 #include "perfeng/common/json.hpp"
 
 // Capture format (docs/observability.md): line 1 is a header object, every
-// further line is one event object. Flat objects, fixed keys, no nesting —
-// a deliberate subset of JSON so offline tooling (jq, python) reads it
-// directly while the in-repo parser stays a page long:
+// further line is one event object, so offline tooling (jq, python) reads
+// it directly:
 //
 //   {"pe_trace":1,"lanes":9,"recorded":1234,"dropped":0,"events":1234}
 //   {"ns":17,"kind":"chunk_start","lane":3,"obj":"0x7ffd","a":0,"b":128,
@@ -45,110 +45,65 @@ void write_event(std::ostream& out, const TraceRecord& e) {
   out << "}\n";
 }
 
-/// Minimal scanner for one flat JSON object line: fills string and number
-/// fields keyed by name. Unknown keys are skipped (forward compatibility).
-class FlatObject {
+/// One line of a capture, parsed by the shared reader. Unknown keys are
+/// skipped (forward compatibility); errors name the capture and its line.
+class CaptureLine {
  public:
-  FlatObject(std::string_view line, std::size_t lineno) {
-    std::size_t i = skip_ws(line, 0);
-    if (i >= line.size() || line[i] != '{') fail(lineno, "expected '{'");
-    ++i;
-    for (;;) {
-      i = skip_ws(line, i);
-      if (i < line.size() && line[i] == '}') return;
-      if (i >= line.size() || line[i] != '"')
-        fail(lineno, "expected a quoted key");
-      std::string key;
-      i = read_string(line, i, lineno, key);
-      i = skip_ws(line, i);
-      if (i >= line.size() || line[i] != ':') fail(lineno, "expected ':'");
-      i = skip_ws(line, i + 1);
-      if (i < line.size() && line[i] == '"') {
-        std::string value;
-        i = read_string(line, i, lineno, value);
-        strings_[key] = std::move(value);
-      } else {
-        const std::size_t start = i;
-        while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-        std::uint64_t v = 0;
-        const std::string digits(line.substr(start, i - start));
-        if (std::sscanf(digits.c_str(), "%" SCNu64, &v) != 1)
-          fail(lineno, "expected a number for key '" + key + "'");
-        numbers_[key] = v;
-      }
-      i = skip_ws(line, i);
-      if (i < line.size() && line[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (i < line.size() && line[i] == '}') return;
-      fail(lineno, "expected ',' or '}'");
-    }
+  CaptureLine(std::string_view line, std::string_view source,
+              std::size_t lineno)
+      : source_(source), obj_(json_parse(line, source, lineno)) {
+    if (obj_.kind != JsonValue::Kind::kObject) fail("expected an object");
   }
 
+  [[noreturn]] void fail(const std::string& what) const {
+    json_error(source_, obj_.line, what);
+  }
+
+  /// Unsigned integer member `key`, at most `max`, read exactly.
   [[nodiscard]] std::uint64_t number(const std::string& key,
-                                     std::size_t lineno) const {
-    const auto it = numbers_.find(key);
-    if (it == numbers_.end()) fail(lineno, "missing key '" + key + "'");
-    return it->second;
+                                     std::uint64_t max = UINT64_MAX) const {
+    const JsonValue* v = obj_.find(key);
+    if (v == nullptr) fail("missing key '" + key + "'");
+    const std::optional<std::uint64_t> u = v->as_uint();
+    if (!u || *u > max)
+      fail("key '" + key + "' must be an integer from 0 to " +
+           std::to_string(max));
+    return *u;
   }
 
   [[nodiscard]] std::uint64_t number_or(const std::string& key,
-                                        std::uint64_t fallback) const {
-    const auto it = numbers_.find(key);
-    return it == numbers_.end() ? fallback : it->second;
+                                        std::uint64_t fallback,
+                                        std::uint64_t max = UINT64_MAX) const {
+    return obj_.find(key) == nullptr ? fallback : number(key, max);
   }
 
   [[nodiscard]] const std::string* string_or_null(
       const std::string& key) const {
-    const auto it = strings_.find(key);
-    return it == strings_.end() ? nullptr : &it->second;
+    const JsonValue* v = obj_.find(key);
+    if (v == nullptr) return nullptr;
+    if (v->kind != JsonValue::Kind::kString)
+      fail("key '" + key + "' must be a string");
+    return &v->text;
   }
 
-  [[nodiscard]] const std::string& string(const std::string& key,
-                                          std::size_t lineno) const {
+  [[nodiscard]] const std::string& string(const std::string& key) const {
     const std::string* s = string_or_null(key);
-    if (s == nullptr) fail(lineno, "missing key '" + key + "'");
+    if (s == nullptr) fail("missing key '" + key + "'");
     return *s;
   }
 
  private:
-  [[noreturn]] static void fail(std::size_t lineno, const std::string& what) {
-    throw Error("trace capture line " + std::to_string(lineno) + ": " + what);
-  }
-
-  static std::size_t skip_ws(std::string_view s, std::size_t i) {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-    return i;
-  }
-
-  static std::size_t read_string(std::string_view s, std::size_t i,
-                                 std::size_t lineno, std::string& out) {
-    ++i;  // opening quote
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') {
-        i = json_unescape(s, i, out);
-        if (i == std::string_view::npos) fail(lineno, "bad escape in string");
-      } else {
-        out.push_back(s[i]);
-        ++i;
-      }
-    }
-    if (i >= s.size()) fail(lineno, "unterminated string");
-    return i + 1;  // closing quote
-  }
-
-  std::map<std::string, std::uint64_t> numbers_;
-  std::map<std::string, std::string> strings_;
+  std::string_view source_;
+  JsonValue obj_;
 };
 
-TraceEventKind kind_from_name(const std::string& name, std::size_t lineno) {
+TraceEventKind kind_from_name(const CaptureLine& obj) {
+  const std::string& name = obj.string("kind");
   for (std::size_t k = 0; k < kTraceEventKinds; ++k) {
     const auto kind = static_cast<TraceEventKind>(k);
     if (name == trace_event_kind_name(kind)) return kind;
   }
-  throw Error("trace capture line " + std::to_string(lineno) +
-              ": unknown event kind '" + name + "'");
+  obj.fail("unknown event kind '" + name + "'");
 }
 
 }  // namespace
@@ -166,7 +121,7 @@ void Trace::save_file(const std::string& path) const {
   save(out);
 }
 
-Trace Trace::load(std::istream& in) {
+Trace Trace::load(std::istream& in, std::string_view source) {
   Trace trace;
   std::string line;
   std::size_t lineno = 0;
@@ -181,19 +136,19 @@ Trace Trace::load(std::istream& in) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    const FlatObject obj(line, lineno);
+    const CaptureLine obj(line, source, lineno);
     if (lineno == 1) {
-      if (obj.number("pe_trace", lineno) != 1)
-        throw Error("trace capture: unsupported pe_trace version");
-      trace.lanes = static_cast<std::size_t>(obj.number("lanes", lineno));
-      trace.recorded = obj.number("recorded", lineno);
-      trace.dropped = obj.number("dropped", lineno);
+      if (obj.number("pe_trace") != 1)
+        obj.fail("unsupported pe_trace version");
+      trace.lanes = static_cast<std::size_t>(obj.number("lanes", SIZE_MAX));
+      trace.recorded = obj.number("recorded");
+      trace.dropped = obj.number("dropped");
       continue;
     }
     TraceRecord e;
-    e.ns = obj.number("ns", lineno);
-    e.kind = kind_from_name(obj.string("kind", lineno), lineno);
-    e.lane = static_cast<std::uint32_t>(obj.number("lane", lineno));
+    e.ns = obj.number("ns");
+    e.kind = kind_from_name(obj);
+    e.lane = static_cast<std::uint32_t>(obj.number("lane", UINT32_MAX));
     e.a = obj.number_or("a", 0);
     e.b = obj.number_or("b", 0);
     if (const std::string* objkey = obj.string_or_null("obj")) {
@@ -213,13 +168,13 @@ Trace Trace::load(std::istream& in) {
         idx = it->second;
       }
       file_of_event.push_back(idx);
-      e.line = static_cast<std::uint32_t>(obj.number_or("line", 0));
+      e.line = static_cast<std::uint32_t>(obj.number_or("line", 0, UINT32_MAX));
     } else {
       file_of_event.push_back(files_in_order.size());  // sentinel: none
     }
     trace.events.push_back(e);
   }
-  if (lineno == 0) throw Error("trace capture: empty input");
+  if (lineno == 0) throw Error(std::string(source) + ": empty input");
   // Fix up provenance pointers now that the pool is complete and stable.
   trace.string_pool = std::move(files_in_order);
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
@@ -238,7 +193,7 @@ Trace Trace::load(std::istream& in) {
 Trace Trace::load_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw Error("cannot open trace capture '" + path + "'");
-  return load(in);
+  return load(in, path);
 }
 
 }  // namespace pe::observe

@@ -5,21 +5,6 @@
 
 namespace pe::resilience {
 
-namespace {
-
-/// FNV-1a, so per-site RNG streams are stable across platforms (std::hash
-/// is implementation-defined).
-std::uint64_t hash_site(std::string_view site) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : site) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
 FaultInjected::FaultInjected(std::string site, int visit,
                              const std::string& message)
     : Error(message.empty()
@@ -56,7 +41,7 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
                         });
     SiteState state;
     state.spec = &spec;
-    state.rng.reseed(plan_.seed ^ hash_site(spec.site));
+    state.rng.reseed(plan_.seed ^ fnv1a(spec.site));
     sites_.emplace(spec.site, std::move(state));
   }
 }

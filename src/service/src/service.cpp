@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "perfeng/common/fault_hook.hpp"
+#include "perfeng/common/rng.hpp"
 #include "perfeng/resilience/fault_injection.hpp"
 #include "perfeng/resilience/measurement_error.hpp"
 
@@ -20,17 +21,6 @@ double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// FNV-1a, for per-tenant breaker jitter streams (stable across
-/// platforms, same rationale as the fault injector's per-site streams).
-std::uint64_t hash_tenant(std::string_view tenant) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : tenant) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 }  // namespace
@@ -83,7 +73,7 @@ CircuitBreaker& BenchmarkService::breaker_for(const std::string& tenant) {
     CircuitBreakerConfig cfg = config_.breaker;
     // Decorrelate tenants: each breaker draws its cooldown jitter from
     // its own seeded stream, so tripped tenants do not probe in lockstep.
-    cfg.cooldown.jitter_seed ^= hash_tenant(tenant);
+    cfg.cooldown.jitter_seed ^= fnv1a(tenant);
     it = breakers_
              .emplace(tenant, std::make_unique<CircuitBreaker>(
                                   cfg, config_.now))

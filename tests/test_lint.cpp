@@ -7,10 +7,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "perfeng/common/error.hpp"
 #include "perfeng/common/json.hpp"
 #include "perfeng/lint/baseline.hpp"
 #include "perfeng/lint/driver.hpp"
@@ -32,6 +36,13 @@ using pe::lint::SourceFile;
 // Compile definition from tests/CMakeLists.txt: absolute path of
 // tests/lint_fixtures.
 const std::string kFixtures = PE_LINT_FIXTURES;
+
+// Member `key` of a parsed JSON object; a missing key fails the test.
+const pe::JsonValue& field(const pe::JsonValue& v, const char* key) {
+  const pe::JsonValue* m = v.find(key);
+  if (m == nullptr) throw std::runtime_error(std::string("no key ") + key);
+  return *m;
+}
 
 LintResult lint_fixture(const std::string& tree,
                         const std::vector<std::string>& rules) {
@@ -253,6 +264,28 @@ TEST(LintBaseline, RoundTripsAndAbsorbsExactlyTheAcceptedCounts) {
   }));
 }
 
+TEST(LintBaseline, MalformedEntryNamesTheFileAndLine) {
+  const std::string path = testing::TempDir() + "lint_baseline_bad.json";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(
+        "{\n  \"entries\": [\n"
+        "    {\"rule\":\"r\",\"file\":\"a\",\"message\":\"m\",\"count\":1},\n"
+        "    {\"rule\":\"r\",\"file\":\"a\",\"count\":1}\n  ]\n}\n",
+        f);
+    std::fclose(f);
+  }
+  try {
+    (void)Baseline::load(path);
+    FAIL() << "accepted an entry without a message";
+  } catch (const pe::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ": line 4:"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(LintBaseline, MissingFileIsEmptyBaseline) {
   const Baseline base =
       Baseline::load(testing::TempDir() + "does_not_exist_baseline.json");
@@ -269,35 +302,46 @@ TEST(LintBaseline, MissingFileIsEmptyBaseline) {
 TEST(LintSarif, RendersTheShapeCiAndCodeScannersExpect) {
   const auto bad = lint_fixture(
       "bad", {"include-layering", "lock-order", "wait-loop"});
-  const std::string sarif =
-      pe::lint::render_sarif(bad.findings, bad.rules);
+  const pe::JsonValue sarif = pe::json_parse(
+      pe::lint::render_sarif(bad.findings, bad.rules), "sarif");
 
   // Top-level shape.
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("sarif-schema-2.1.0"), std::string::npos);
-  EXPECT_NE(sarif.find("\"runs\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\": \"perfeng-lint\""), std::string::npos);
+  EXPECT_EQ(field(sarif, "version").text, "2.1.0");
+  EXPECT_NE(field(sarif, "$schema").text.find("sarif-schema-2.1.0"),
+            std::string::npos);
+  const pe::JsonValue& runs = field(sarif, "runs");
+  ASSERT_EQ(runs.array.size(), 1u);
+  const pe::JsonValue& driver = field(field(runs.array[0], "tool"), "driver");
+  EXPECT_EQ(field(driver, "name").text, "perfeng-lint");
   // Every pass that ran appears in the driver rules array.
-  EXPECT_NE(sarif.find("\"id\": \"include-layering\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"id\": \"lock-order\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"id\": \"wait-loop\""), std::string::npos);
-  // Results carry ruleId + ruleIndex + a physical location with a line.
-  EXPECT_NE(sarif.find("\"ruleId\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleIndex\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"physicalLocation\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"level\": \"error\""), std::string::npos);
-  // Balanced braces — cheap structural sanity without a JSON parser.
-  EXPECT_EQ(std::count(sarif.begin(), sarif.end(), '{'),
-            std::count(sarif.begin(), sarif.end(), '}'));
-  EXPECT_EQ(std::count(sarif.begin(), sarif.end(), '['),
-            std::count(sarif.begin(), sarif.end(), ']'));
-}
-
-TEST(LintRender, JsonEscapeHandlesQuotesBackslashesAndControls) {
-  EXPECT_EQ(pe::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(pe::json_escape("tab\there"), "tab\\there");
-  EXPECT_EQ(pe::json_escape(std::string(1, '\x01')), "\\u0001");
+  std::vector<std::string> ids;
+  for (const pe::JsonValue& rule : field(driver, "rules").array)
+    ids.push_back(field(rule, "id").text);
+  for (const char* id : {"include-layering", "lock-order", "wait-loop"})
+    EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
+  // Each result's ruleIndex points at the rule its ruleId names, and it
+  // carries a SARIF level and a physical location with a line.
+  const pe::JsonValue& results = field(runs.array[0], "results");
+  ASSERT_EQ(results.array.size(), bad.findings.size());
+  ASSERT_FALSE(results.array.empty());
+  bool saw_error = false;
+  for (const pe::JsonValue& result : results.array) {
+    const std::optional<std::uint64_t> index =
+        field(result, "ruleIndex").as_uint();
+    ASSERT_TRUE(index.has_value());
+    ASSERT_LT(*index, ids.size());
+    EXPECT_EQ(ids[*index], field(result, "ruleId").text);
+    const std::string& level = field(result, "level").text;
+    EXPECT_TRUE(level == "error" || level == "warning" || level == "note")
+        << level;
+    saw_error |= level == "error";
+    const pe::JsonValue& location =
+        field(field(result, "locations").array.at(0), "physicalLocation");
+    EXPECT_FALSE(field(field(location, "artifactLocation"), "uri")
+                     .text.empty());
+    EXPECT_GE(field(field(location, "region"), "startLine").as_uint(), 1u);
+  }
+  EXPECT_TRUE(saw_error);
 }
 
 }  // namespace

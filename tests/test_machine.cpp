@@ -220,6 +220,24 @@ TEST(MachineJson, TruncatedFileRejected) {
   EXPECT_THROW((void)pe::machine::from_json(""), pe::Error);
 }
 
+TEST(MachineJson, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  const std::string msg = error_message(std::string(100000, '['));
+  EXPECT_NE(msg.find("machine: input.json: line 1: nesting"),
+            std::string::npos)
+      << msg;
+}
+
+TEST(MachineJson, CountsMustBeUnsignedIntegers) {
+  for (const char* cores : {"-1", "8.5", "1e3", "4294967297"}) {
+    const std::string msg = error_message(
+        std::string("{\"name\": \"x\", \"peak_flops\": 1e9,\n\"cores\": ") +
+        cores + "}");
+    EXPECT_NE(msg.find("line 2: key 'cores' must be an integer"),
+              std::string::npos)
+        << cores << ": " << msg;
+  }
+}
+
 // --- file IO ----------------------------------------------------------------
 
 TEST(MachineJson, SaveAndLoadFile) {
@@ -404,6 +422,16 @@ TEST(MachineRegistry, BuiltinPresetsValidate) {
     EXPECT_NO_THROW(reg.get(name).check()) << name;
   EXPECT_TRUE(reg.contains("das5-node"));
   EXPECT_TRUE(reg.contains("laptop-x86"));
+}
+
+TEST(MachineRegistry, PresetCalibrationHashesAreUnchanged) {
+  // The hash is FNV-1a over the canonical JSON, so these pin both the
+  // byte form of to_json and the hash. Change them only with the presets.
+  const auto& reg = pe::machine::MachineRegistry::builtin();
+  EXPECT_EQ(reg.get("das5-node").calibration_hash(), "d2c167fae64c2c92");
+  EXPECT_EQ(reg.get("das5-gpu").calibration_hash(), "cb6502d2337b89e1");
+  EXPECT_EQ(reg.get("laptop-x86").calibration_hash(), "536b2b28f1377b89");
+  EXPECT_EQ(reg.get("cloud-smt").calibration_hash(), "0d1fe53fef78e92a");
 }
 
 TEST(MachineRegistry, RejectsDuplicateNames) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "perfeng/common/error.hpp"
+#include "perfeng/common/json.hpp"
 #include "perfeng/common/trace_hook.hpp"
 #include "perfeng/measure/experiment.hpp"
 #include "perfeng/measure/timer.hpp"
@@ -44,6 +45,26 @@ using TraceSlot = pe::HookSlot<pe::TraceHook>;
 // is file-scope state.
 std::atomic<std::uint64_t> g_sim_now{0};
 std::uint64_t sim_now() { return g_sim_now.load(std::memory_order_relaxed); }
+
+// A trace's Chrome export, parsed back by the shared reader.
+pe::JsonValue chrome_json(const Trace& trace) {
+  std::ostringstream chrome;
+  pe::observe::write_chrome_trace(chrome, trace);
+  return pe::json_parse(chrome.str(), "chrome trace");
+}
+
+// The trace events of one phase ("M", "X", "i") in document order.
+std::vector<const pe::JsonValue*> events_of(const pe::JsonValue& doc,
+                                            const std::string& phase) {
+  std::vector<const pe::JsonValue*> out;
+  const pe::JsonValue* events = doc.find("traceEvents");
+  if (events == nullptr) return out;
+  for (const pe::JsonValue& e : events->array) {
+    const pe::JsonValue* ph = e.find("ph");
+    if (ph != nullptr && ph->text == phase) out.push_back(&e);
+  }
+  return out;
+}
 
 TraceRecord make_record(std::uint64_t ns) {
   TraceRecord r;
@@ -341,19 +362,48 @@ TEST(ExportTest, CollapsedAndChromeOutputsAreWellFormed) {
   EXPECT_NE(folded.str().find("matmul.cpp:42"), std::string::npos);
   EXPECT_NE(folded.str().find("idle.park"), std::string::npos);
 
-  std::ostringstream chrome;
-  pe::observe::write_chrome_trace(chrome, trace);
-  const std::string json = chrome.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("thread_name"), std::string::npos);
-  long depth = 0;
-  for (char c : json) {
-    if (c == '{') ++depth;
-    if (c == '}') --depth;
-    ASSERT_GE(depth, 0);
+  const pe::JsonValue doc = chrome_json(trace);
+  ASSERT_EQ(doc.kind, pe::JsonValue::Kind::kObject);
+  const std::vector<const pe::JsonValue*> names = events_of(doc, "M");
+  ASSERT_FALSE(names.empty());
+  EXPECT_EQ(names[0]->find("name")->text, "thread_name");
+  const std::vector<const pe::JsonValue*> slices = events_of(doc, "X");
+  ASSERT_EQ(slices.size(), 2u);  // the chunk and the park
+  EXPECT_NE(slices[0]->find("name")->text.find("matmul.cpp:42"),
+            std::string::npos);
+  EXPECT_EQ(slices[1]->find("name")->text, "idle.park");
+}
+
+TEST(ExportTest, ChromeSlicesStartAtTheirExactMicrosecond) {
+  TracerConfig cfg;
+  cfg.lanes = 2;
+  cfg.now_ns = sim_now;
+  Tracer tracer(cfg);
+  // 75 minutes of uptime: six significant digits would put ts on a 10 ms
+  // grid here.
+  const std::uint64_t t0 = 4'523'841'234'567;
+  int loop_key = 0;
+  const std::uint64_t starts[] = {t0 + 1, t0 + 1'000, t0 + 52'001};
+  const std::uint64_t ends[] = {t0 + 999, t0 + 51'789, t0 + 99'999};
+  for (int i = 0; i < 3; ++i) {
+    g_sim_now = starts[i];
+    tracer.on_event(TraceEventKind::kChunkStart, &loop_key, 0, 32, 1,
+                    "src/x.cpp", 7);
+    g_sim_now = ends[i];
+    tracer.on_event(TraceEventKind::kChunkFinish, &loop_key, 0, 32, 1,
+                    "src/x.cpp", 7);
   }
-  EXPECT_EQ(depth, 0);
+  const pe::JsonValue doc = chrome_json(tracer.take());
+  const std::vector<const pe::JsonValue*> slices = events_of(doc, "X");
+  ASSERT_EQ(slices.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    const double ts = slices[i]->find("ts")->number;
+    const double dur = slices[i]->find("dur")->number;
+    EXPECT_NEAR(ts, static_cast<double>(starts[i]) / 1000.0, 0.001)
+        << slices[i]->find("ts")->text;
+    EXPECT_NEAR(dur, static_cast<double>(ends[i] - starts[i]) / 1000.0,
+                0.001);
+  }
 }
 
 TEST(ExportTest, CaptureRoundTripsThroughSaveAndLoad) {
@@ -363,10 +413,13 @@ TEST(ExportTest, CaptureRoundTripsThroughSaveAndLoad) {
   Tracer tracer(cfg);
   static const char* const kFile = "src/kernels/src/sparse.cpp";
   int loop_key = 0;
-  g_sim_now = 7;
+  // Past 2^53 ns (about 104 days of uptime), where a double loses the
+  // nanosecond.
+  const std::uint64_t t0 = (std::uint64_t{1} << 53) + 1;
+  g_sim_now = t0 + 6;
   tracer.on_event(TraceEventKind::kChunkStart, &loop_key, 3, 9, 1, kFile,
                   21);
-  g_sim_now = 19;
+  g_sim_now = t0 + 18;
   tracer.on_event(TraceEventKind::kChunkFinish, &loop_key, 3, 9, 1, kFile,
                   21);
   const Trace trace = tracer.take();
@@ -408,6 +461,25 @@ TEST(ExportTest, CaptureRoundTripsPathsThatNeedEscaping) {
 TEST(ExportTest, LoadRejectsMalformedCaptures) {
   std::istringstream garbage("this is not a capture\n");
   EXPECT_THROW((void)Trace::load(garbage), pe::Error);
+
+  // Integers must be exact and unsigned; the error names the capture's
+  // line, not the line within that line's object.
+  const std::string header =
+      "{\"pe_trace\":1,\"lanes\":2,\"recorded\":1,\"dropped\":0}\n";
+  for (const char* event :
+       {R"({"ns":-5,"kind":"submit","lane":0})",
+        R"({"ns":12abc,"kind":"submit","lane":0})",
+        R"({"ns":12,"kind":"submit","lane":3.9})"}) {
+    std::istringstream in(header + "\n" + event + "\n");
+    try {
+      (void)Trace::load(in);
+      ADD_FAILURE() << "accepted " << event;
+    } catch (const pe::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("trace capture: line 3:"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ProvenanceTest, AnnotateAttachesSchedulerColumns) {

@@ -11,6 +11,11 @@
 
 namespace {
 
+TEST(Fnv1a, MatchesTheReferenceVectors) {
+  EXPECT_EQ(pe::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(pe::fnv1a("foobar"), 0x85944171f73967e8ULL);
+}
+
 TEST(Rng, SameSeedSameSequence) {
   pe::Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
