@@ -100,8 +100,10 @@ struct TracedKernels {
 };
 
 // The two kernels the acceptance criteria name, run under the installed
-// tracer: packed matmul exercises the static bulk path; balanced SpMV on a
-// power-law matrix exercises the nnz-balanced static partition.
+// tracer: packed matmul exercises a static loop (zero-filling C) and
+// dynamic claims (B strips, then one row panel per claim); balanced SpMV
+// on a power-law matrix exercises dynamic claims of rows-plus-nonzeros
+// balanced parts, kSpmvChunksPerLane per lane.
 TracedKernels run_traced_kernels(pe::ThreadPool& pool) {
   using namespace pe::kernels;
   TracedKernels out;

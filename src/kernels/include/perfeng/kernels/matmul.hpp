@@ -75,7 +75,10 @@ void matmul_parallel(const Matrix& a, const Matrix& b, Matrix& c,
 /// microkernel over them. The register tile (mr x nr) is a compile-time
 /// constant of the kernel; these three only set the cache footprint.
 struct MatmulBlocking {
-  std::size_t mc = 128;   ///< A-panel rows   (mc*kc doubles ~ half of L2)
+  /// A-panel rows (mc*kc doubles ~ half of L2). The packed kernel caps
+  /// it at m / lanes, rounded up to the register tile, so every lane gets
+  /// a row panel.
+  std::size_t mc = 128;
   std::size_t kc = 256;   ///< panel depth    (kc*nr doubles ~ part of L1)
   std::size_t nc = 2048;  ///< B-panel cols   (kc*nc doubles ~ half of LLC)
 
@@ -86,8 +89,10 @@ struct MatmulBlocking {
 };
 
 /// C = A * B with A/B packed into contiguous panels and a register-blocked
-/// microkernel, row-panels distributed over the pool. Numerically
-/// equivalent to the other variants up to floating-point reassociation.
+/// microkernel, row-panels claimed one at a time by the pool's lanes
+/// (workers plus the calling thread). Numerically equivalent to the other
+/// variants up to floating-point reassociation; each element's arithmetic
+/// depends on kc but not on mc, nc or the pool size.
 void matmul_parallel_packed(const Matrix& a, const Matrix& b, Matrix& c,
                             ThreadPool& pool,
                             const MatmulBlocking& blocking = {});

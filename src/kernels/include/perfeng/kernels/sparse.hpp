@@ -159,24 +159,36 @@ void spmv_ell_parallel(const EllMatrix& a, const std::vector<double>& x,
                        std::vector<double>& y, ThreadPool& pool);
 
 /// Entry-parallel COO SpMV. Requires `a` to be normalized (row-sorted):
-/// the entry list is partitioned at row boundaries so each worker owns a
-/// disjoint row range of y. Throws pe::Error on out-of-order rows.
-/// Matches `spmv_coo` exactly (same per-row accumulation order).
+/// the entry list is cut into one entry-balanced part per lane (workers
+/// plus the calling thread), each boundary moved to a row edge so every
+/// part owns a disjoint row range of y; lanes claim parts one at a time.
+/// Throws pe::Error on out-of-order rows. Matches `spmv_coo` exactly
+/// (same per-row accumulation order).
 void spmv_coo_parallel(const CooMatrix& a, const std::vector<double>& x,
                        std::vector<double>& y, ThreadPool& pool);
 
-/// Split [0, rows) into `parts + 1` boundaries so each part covers about
-/// the same number of non-zeros (row_ptr *is* the nnz prefix sum, so each
-/// boundary is a lower-bound search for `part * nnz / parts`). Boundaries
-/// are non-decreasing; parts with no rows are empty, never negative.
+/// Split [0, rows) into `parts + 1` boundaries so each part costs about
+/// the same, counting one unit per row plus one per non-zero (the
+/// row-granular form of merge-path SpMV, Merrill & Garland, SC'16).
+/// `r + row_ptr[r]` is the cost of rows [0, r), so boundary p is a
+/// lower-bound search for `p * (rows + nnz) / parts`. A part never costs
+/// more than its share (rounded up) plus its heaviest row. Boundaries are
+/// non-decreasing; parts with no rows are empty, never negative.
 [[nodiscard]] std::vector<std::size_t> balanced_row_partition(
     const CsrMatrix& a, std::size_t parts);
 
-/// Row-parallel CSR SpMV with a nonzero-balanced *static* partition: one
-/// contiguous row range per worker, boundaries from
-/// `balanced_row_partition`. Matches `spmv_csr` exactly (same per-row
-/// summation order); preferable to dynamic chunks on power-law matrices
-/// where a handful of heavy rows dominate the work.
+/// Parts per lane that `spmv_csr_parallel_balanced` cuts. Equal cost is
+/// not equal time (rows miss on x differently, and a lane may start late),
+/// so lanes that finish early claim the parts that are left. More parts
+/// per lane ran little faster, but each part is two events for an
+/// installed tracer: at 8 or 16 per lane, perfbench's traced
+/// short_regions run overflowed the tracer's fixed per-lane rings.
+inline constexpr std::size_t kSpmvChunksPerLane = 4;
+
+/// Row-parallel CSR SpMV over `kSpmvChunksPerLane` parts per lane (workers
+/// plus the calling thread), boundaries from `balanced_row_partition`,
+/// each part one dynamic claim. Matches `spmv_csr` exactly (rows are never
+/// split, so every row keeps the serial summation order).
 void spmv_csr_parallel_balanced(const CsrMatrix& a,
                                 const std::vector<double>& x,
                                 std::vector<double>& y, ThreadPool& pool);

@@ -232,16 +232,19 @@ void matmul_parallel_packed(const Matrix& a, const Matrix& b, Matrix& c,
   PE_REQUIRE(blocking.mc >= 1 && blocking.kc >= 1 && blocking.nc >= 1,
              "blocking parameters must be positive");
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-  // Clamp panels to the problem and round to whole register tiles.
+  const std::size_t lanes = pool.size() + 1;
+  // Clamp panels to the problem and round to whole register tiles. A row
+  // panel is the unit of parallel work, so mc is also capped at one
+  // panel's share per lane (workers plus the calling thread): a small m
+  // would otherwise be a single panel that the caller runs alone.
   const std::size_t mc =
       std::min(round_down_to(blocking.mc, kMr, kMr),
-               (m + kMr - 1) / kMr * kMr);
+               ((m + lanes - 1) / lanes + kMr - 1) / kMr * kMr);
   const std::size_t kc = std::min(blocking.kc, k);
   const std::size_t nc =
       std::min(round_down_to(blocking.nc, kNr, kNr),
                (n + kNr - 1) / kNr * kNr);
 
-  const std::size_t lanes = pool.size() + 1;
   const std::size_t a_panel_elems = mc * kc;
   AlignedBuffer<double> a_pack(lanes * a_panel_elems);
   AlignedBuffer<double> b_pack(nc * kc);

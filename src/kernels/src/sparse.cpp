@@ -330,7 +330,7 @@ void spmv_coo_parallel(const CooMatrix& a, const std::vector<double>& x,
           }
         }
       },
-      Schedule::kStatic);
+      Schedule::kDynamic, 1);
 }
 
 void spmv_ell(const EllMatrix& a, const std::vector<double>& x,
@@ -401,17 +401,23 @@ std::vector<std::size_t> balanced_row_partition(const CsrMatrix& a,
   PE_REQUIRE(parts >= 1, "parts must be positive");
   std::vector<std::size_t> bounds(parts + 1, a.rows);
   bounds[0] = 0;
-  const std::uint32_t nnz = a.row_ptr.empty() ? 0 : a.row_ptr[a.rows];
+  // Cost of rows [0, r) is r + row_ptr[r]: one unit per row (its y write
+  // and row_ptr read) plus one per nonzero. The sum can pass 2^32.
+  const std::uint64_t total =
+      a.rows + (a.row_ptr.empty() ? 0 : std::uint64_t{a.row_ptr[a.rows]});
   for (std::size_t p = 1; p < parts; ++p) {
-    // First row whose starting offset reaches this part's nnz quota; rows
-    // are never split, so a very heavy row simply owns its part alone.
-    const std::uint32_t target = static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(nnz) * p) / parts);
-    const auto it = std::lower_bound(a.row_ptr.begin(),
-                                     a.row_ptr.begin() + a.rows, target);
-    bounds[p] = std::max<std::size_t>(
-        bounds[p - 1],
-        static_cast<std::size_t>(it - a.row_ptr.begin()));
+    // First row whose prefix cost reaches this part's share; rows are
+    // never split, so a very heavy row simply owns its part alone.
+    const std::uint64_t target = total * p / parts;
+    std::size_t lo = bounds[p - 1], hi = a.rows;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (mid + std::uint64_t{a.row_ptr[mid]} < target)
+        lo = mid + 1;
+      else
+        hi = mid;
+    }
+    bounds[p] = lo;
   }
   return bounds;
 }
@@ -421,8 +427,9 @@ void spmv_csr_parallel_balanced(const CsrMatrix& a,
                                 std::vector<double>& y, ThreadPool& pool) {
   PE_REQUIRE(x.size() == a.cols, "x size mismatch");
   PE_REQUIRE(y.size() == a.rows, "y size mismatch");
-  const std::size_t parts = std::min<std::size_t>(
-      pool.size() + 1, std::max<std::size_t>(1, a.rows));
+  const std::size_t parts =
+      std::min<std::size_t>((pool.size() + 1) * kSpmvChunksPerLane,
+                            std::max<std::size_t>(1, a.rows));
   const std::vector<std::size_t> bounds = balanced_row_partition(a, parts);
   parallel_for(
       pool, 0, parts,
@@ -436,7 +443,7 @@ void spmv_csr_parallel_balanced(const CsrMatrix& a,
           y[r] = acc;
         }
       },
-      Schedule::kStatic);
+      Schedule::kDynamic, 1);
 }
 
 std::string pattern_name(SparsityPattern p) {

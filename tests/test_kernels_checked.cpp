@@ -49,6 +49,40 @@ TEST(KernelsUnderChecker, PackedMatmulPartitionIsDisjointWrite) {
   EXPECT_GT(report.intervals, 0u);
 }
 
+// Default blocking at N=128 on 3 workers: mc (128) would make the whole
+// product one row panel, which the calling thread runs alone. Capped at
+// one panel per lane, the sweep becomes 4 panels of 32 rows, claimed by
+// all 4 lanes, and the result does not change by a single bit.
+TEST(KernelsUnderChecker, PackedMatmulGivesEveryLaneARowPanel) {
+  const std::size_t n = 128;
+  pe::kernels::Matrix a(n, n), b(n, n), out(n, n), inline_out(n, n);
+  pe::Rng rng(11);
+  a.randomize(rng);
+  b.randomize(rng);
+  {
+    pe::ThreadPool one(1);  // one worker: every loop runs on the caller
+    pe::kernels::matmul_parallel_packed(a, b, inline_out, one);
+  }
+
+  pe::ThreadPool pool(3);
+  AccessChecker checker;
+  {
+    ScopedAccessCheck guard(checker);
+    pe::kernels::matmul_parallel_packed(a, b, out, pool);
+  }
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_EQ(out(i, j), inline_out(i, j)) << i << "," << j;
+
+  // Three loops: zero-fill C (one static block per worker), pack B (16
+  // strips in claims of 8), then the row-panel sweep.
+  const RaceReport report = checker.report();
+  EXPECT_TRUE(report.clean()) << report.to_string();
+  EXPECT_EQ(report.loops, 3u);
+  const std::size_t zero_fill_chunks = pool.size(), pack_b_chunks = 2;
+  EXPECT_GE(report.chunks, zero_fill_chunks + pack_b_chunks + 4);
+}
+
 TEST(KernelsUnderChecker, BalancedSpmvPartitionIsDisjointWrite) {
   pe::ThreadPool pool(4);
   pe::Rng rng(13);
@@ -70,10 +104,13 @@ TEST(KernelsUnderChecker, BalancedSpmvPartitionIsDisjointWrite) {
   }
   EXPECT_EQ(y, expected);  // balanced variant matches serial exactly
 
+  // One claim per partition part: kSpmvChunksPerLane parts for each lane
+  // (the 4 workers and the calling thread).
   const RaceReport report = checker.report();
   EXPECT_TRUE(report.clean()) << report.to_string();
   EXPECT_EQ(report.loops, 1u);
-  EXPECT_GE(report.chunks, 2u);
+  EXPECT_EQ(report.chunks,
+            (pool.size() + 1) * pe::kernels::kSpmvChunksPerLane);
 }
 
 TEST(KernelsUnderChecker, DynamicSpmvPartitionIsDisjointWrite) {
@@ -164,9 +201,11 @@ TEST(KernelsUnderChecker, CooSpmvEntryPartitionIsDisjointWrite) {
   }
   EXPECT_EQ(y, expected);
 
+  // One part per lane (the 4 workers and the calling thread), each its own
+  // claim, so no lane runs two parts back to back.
   const RaceReport report = checker.report();
   EXPECT_TRUE(report.clean()) << report.to_string();
-  EXPECT_GE(report.chunks, 2u);
+  EXPECT_EQ(report.chunks, pool.size() + 1);
 }
 
 TEST(KernelsUnderChecker, StencilRowPartitionIsDisjointWrite) {

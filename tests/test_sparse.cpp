@@ -143,6 +143,36 @@ TEST(BalancedPartition, EvensOutPowerLawNonzeros) {
   }
 }
 
+// A head of heavy rows and a long tail of light ones: splitting by
+// nonzeros alone hands each of the last two parts 2000 rows and 2000
+// nonzeros (4000 units) while the first two get 8 rows each. Counting one
+// unit per row as well caps every part at its share plus one row.
+TEST(BalancedPartition, CapsEveryPartAtItsShareOfRowsPlusNonzeros) {
+  CsrMatrix csr;
+  csr.rows = 16 + 4000;
+  csr.cols = 250;
+  csr.row_ptr.push_back(0);
+  for (std::size_t r = 0; r < csr.rows; ++r) {
+    const std::uint32_t degree = r < 16 ? 250 : 1;
+    for (std::uint32_t c = 0; c < degree; ++c) {
+      csr.col_idx.push_back(c);
+      csr.values.push_back(1.0);
+    }
+    csr.row_ptr.push_back(static_cast<std::uint32_t>(csr.values.size()));
+  }
+  const std::size_t parts = 4;
+  const std::size_t share = (csr.rows + csr.nnz()) / parts;  // 3004
+  const std::size_t heaviest_row = 1 + 250;
+  const auto bounds = pe::kernels::balanced_row_partition(csr, parts);
+  ASSERT_EQ(bounds.size(), parts + 1);
+  for (std::size_t p = 0; p < parts; ++p) {
+    const std::size_t cost = (bounds[p + 1] - bounds[p]) +
+                             (csr.row_ptr[bounds[p + 1]] -
+                              csr.row_ptr[bounds[p]]);
+    EXPECT_LE(cost, share + heaviest_row) << "part " << p;
+  }
+}
+
 TEST(BalancedPartition, MorePartsThanRows) {
   const auto csr = pe::kernels::coo_to_csr(small_coo());  // 2 rows
   const auto bounds = pe::kernels::balanced_row_partition(csr, 6);
