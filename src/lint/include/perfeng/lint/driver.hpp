@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file driver.hpp
-/// Scanning and orchestration: load + lex the tree, build the repo
-/// model, run a pass list, collect structured results. The CLI in
-/// tools/perfeng_lint.cpp is a thin shell over this.
+/// Scanning and orchestration: load + lex the tree, run a pass list,
+/// collect structured results. The CLI in tools/perfeng_lint.cpp is a
+/// thin shell over this.
 
 #include <cstddef>
 #include <filesystem>
@@ -13,7 +13,6 @@
 
 #include "perfeng/lint/finding.hpp"
 #include "perfeng/lint/pass.hpp"
-#include "perfeng/lint/repo_model.hpp"
 #include "perfeng/lint/source.hpp"
 
 namespace pe::lint {
@@ -40,11 +39,11 @@ struct LintResult {
 
 /// Run `passes` over already-loaded sources.
 [[nodiscard]] LintResult run_passes(
-    const PassContext& ctx,
+    const std::vector<SourceFile>& files,
     const std::vector<std::unique_ptr<Pass>>& passes);
 
-/// Convenience: scan `opts`, build the repo model, run the full default
-/// catalog (optionally filtered to `only_rules` ids).
+/// Convenience: scan `opts` and run the full default catalog (optionally
+/// filtered to `only_rules` ids).
 [[nodiscard]] LintResult lint_repo(
     const ScanOptions& opts,
     const std::vector<std::string>& only_rules = {});

@@ -16,8 +16,9 @@
 namespace pe::lint {
 
 /// SARIF-aligned severity ladder. `kError` findings are contract breaks
-/// (layering inversions, potential deadlocks); `kWarning` is the default
-/// for style/hygiene rules; `kNote` is advisory.
+/// (a header without #pragma once, OS randomness, raw intrinsics outside
+/// pe::simd); `kWarning` is the default for style/hygiene rules and spin
+/// loops; `kNote` is advisory.
 enum class Severity { kNote, kWarning, kError };
 
 [[nodiscard]] const char* severity_name(Severity s) noexcept;
@@ -25,8 +26,8 @@ enum class Severity { kNote, kWarning, kError };
 /// One diagnostic from one pass.
 struct Finding {
   std::string file;      ///< repo-relative path, forward slashes
-  std::size_t line = 0;  ///< 1-based; 0 = whole file / whole repo
-  std::string rule;      ///< stable rule id, e.g. "lock-order"
+  std::size_t line = 0;  ///< 1-based; 0 = whole file
+  std::string rule;      ///< stable rule id, e.g. "wait-loop"
   Severity severity = Severity::kWarning;
   std::string message;   ///< what is wrong, with specifics
   std::string fix_hint;  ///< how to fix it (may be empty)

@@ -34,7 +34,6 @@ struct SourceFile {
   bool in_bench = false;     ///< under bench/
   bool in_tools = false;     ///< under tools/
   bool is_public_header = false;  ///< under src/*/include/perfeng/
-  std::string library;       ///< src subdirectory name, or "" outside src/
 };
 
 /// Build the lexed model from raw lines (the driver does this for files

@@ -1,8 +1,7 @@
 #pragma once
 
 /// \file wait_loop.hpp
-/// Whole-program wait-loop pass: spin loops on atomics must pace
-/// themselves.
+/// Wait-loop pass: spin loops on atomics must pace themselves.
 ///
 /// A loop whose exit condition is an atomic `.load(...)` and whose body
 /// neither makes progress on that atomic (store/RMW/CAS) nor paces
@@ -23,7 +22,8 @@ namespace pe::lint {
 class WaitLoopPass final : public Pass {
  public:
   [[nodiscard]] RuleInfo rule() const override;
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override;
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override;
 };
 
 }  // namespace pe::lint

@@ -61,13 +61,13 @@ std::vector<SourceFile> load_sources(const ScanOptions& opts) {
   return files;
 }
 
-LintResult run_passes(const PassContext& ctx,
+LintResult run_passes(const std::vector<SourceFile>& files,
                       const std::vector<std::unique_ptr<Pass>>& passes) {
   LintResult result;
-  result.files_scanned = ctx.files != nullptr ? ctx.files->size() : 0;
+  result.files_scanned = files.size();
   for (const auto& pass : passes) {
     result.rules.push_back(pass->rule());
-    pass->run(ctx, result.findings);
+    pass->run(files, result.findings);
   }
   sort_findings(result.findings);
   return result;
@@ -75,12 +75,6 @@ LintResult run_passes(const PassContext& ctx,
 
 LintResult lint_repo(const ScanOptions& opts,
                      const std::vector<std::string>& only_rules) {
-  const std::vector<SourceFile> files = load_sources(opts);
-  const RepoModel model = RepoModel::build(opts.root);
-  PassContext ctx;
-  ctx.model = &model;
-  ctx.files = &files;
-
   std::vector<std::unique_ptr<Pass>> passes = default_passes();
   if (!only_rules.empty()) {
     std::erase_if(passes, [&](const std::unique_ptr<Pass>& p) {
@@ -88,7 +82,7 @@ LintResult lint_repo(const ScanOptions& opts,
                        p->rule().id) == only_rules.end();
     });
   }
-  return run_passes(ctx, passes);
+  return run_passes(load_sources(opts), passes);
 }
 
 }  // namespace pe::lint

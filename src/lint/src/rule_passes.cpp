@@ -1,11 +1,11 @@
-#include "perfeng/lint/rule_passes.hpp"
+// The ten source-contract rules (catalog in docs/lint.md) and
+// default_passes(), which appends the wait-loop pass to them.
+#include "perfeng/lint/pass.hpp"
 
 #include <algorithm>
 #include <string_view>
 
-#include "perfeng/lint/layering.hpp"
 #include "perfeng/lint/lexer.hpp"
-#include "perfeng/lint/lock_order.hpp"
 #include "perfeng/lint/wait_loop.hpp"
 
 namespace pe::lint {
@@ -33,8 +33,9 @@ class PragmaOncePass final : public Pass {
     return {"pragma-once", "src headers start with #pragma once",
             Severity::kError};
   }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override {
+    for (const SourceFile& f : files) {
       if (!f.is_header || !f.in_src) continue;
       bool decided = false;
       for (std::size_t i = 0; i < f.code.size() && !decided; ++i) {
@@ -63,8 +64,9 @@ class IncludeStylePass final : public Pass {
             "quoted includes name \"perfeng/...\" paths only",
             Severity::kWarning};
   }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override {
+    for (const SourceFile& f : files) {
       for (const IncludeDirective& inc : f.includes) {
         if (inc.angled) continue;
         if (inc.path.rfind("perfeng/", 0) == 0) continue;
@@ -87,8 +89,9 @@ class NamespacePePass final : public Pass {
     return {"namespace-pe", "public headers declare everything inside pe::",
             Severity::kWarning};
   }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override {
+    for (const SourceFile& f : files) {
       if (!f.is_public_header) continue;
       if (file_allows(f, "namespace-pe")) continue;
       const bool has = std::any_of(
@@ -111,8 +114,9 @@ class UsingNamespacePass final : public Pass {
             "no `using namespace std`; none at all in headers",
             Severity::kError};
   }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override {
+    for (const SourceFile& f : files) {
       for (std::size_t i = 0; i < f.code.size(); ++i) {
         const std::string& line = f.code[i];
         const std::size_t pos = line.find("using namespace");
@@ -141,8 +145,9 @@ class StdRandPass final : public Pass {
             "no std::rand/srand/random_device — use pe::Rng",
             Severity::kError};
   }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override {
+    for (const SourceFile& f : files) {
       for (std::size_t i = 0; i < f.code.size(); ++i) {
         const std::string& line = f.code[i];
         if (line_allows(f, i, "no-std-rand")) continue;
@@ -168,8 +173,9 @@ class RawNewArrayPass final : public Pass {
             "std::vector own memory",
             Severity::kError};
   }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override {
+    for (const SourceFile& f : files) {
       if (!f.in_src && !f.in_bench && !f.in_tools) continue;
       for (std::size_t i = 0; i < f.code.size(); ++i) {
         const std::string& line = f.code[i];
@@ -207,8 +213,9 @@ class VolatilePass final : public Pass {
             "volatile is not a synchronization primitive — use std::atomic",
             Severity::kError};
   }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override {
+    for (const SourceFile& f : files) {
       if (!f.in_src && !f.in_bench && !f.in_tools) continue;
       for (std::size_t i = 0; i < f.code.size(); ++i) {
         const std::string& line = f.code[i];
@@ -234,8 +241,9 @@ class TestDeterminismPass final : public Pass {
             "tests never read wall-clock dates or OS entropy",
             Severity::kError};
   }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override {
+    for (const SourceFile& f : files) {
       if (!f.in_tests) continue;
       for (std::size_t i = 0; i < f.code.size(); ++i) {
         const std::string& line = f.code[i];
@@ -265,13 +273,14 @@ class SimdIsolationPass final : public Pass {
             "raw intrinsics live only in pe::simd backend headers",
             Severity::kError};
   }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override {
     static const std::vector<std::string_view> kIntrinsicHeaders = {
         "immintrin.h", "x86intrin.h", "xmmintrin.h", "emmintrin.h",
         "smmintrin.h", "tmmintrin.h", "avxintrin.h", "arm_neon.h"};
     static const std::vector<std::string_view> kIntrinsicPrefixes = {
         "_mm", "__m128", "__m256", "__m512"};
-    for (const SourceFile& f : *ctx.files) {
+    for (const SourceFile& f : files) {
       if (f.rel.rfind("src/simd/include/perfeng/simd/backend_", 0) == 0)
         continue;
       if (file_allows(f, "simd-isolation")) continue;
@@ -322,8 +331,9 @@ class ModelFromMachinePass final : public Pass {
             "public model headers expose a from_machine() factory",
             Severity::kWarning};
   }
-  void run(const PassContext& ctx, std::vector<Finding>& out) const override {
-    for (const SourceFile& f : *ctx.files) {
+  void run(const std::vector<SourceFile>& files,
+           std::vector<Finding>& out) const override {
+    for (const SourceFile& f : files) {
       if (!f.is_public_header) continue;
       if (f.rel.rfind("src/models/", 0) != 0) continue;
       if (file_allows(f, "model-from-machine")) continue;
@@ -346,7 +356,7 @@ class ModelFromMachinePass final : public Pass {
 
 }  // namespace
 
-std::vector<std::unique_ptr<Pass>> ported_rule_passes() {
+std::vector<std::unique_ptr<Pass>> default_passes() {
   std::vector<std::unique_ptr<Pass>> passes;
   passes.push_back(std::make_unique<PragmaOncePass>());
   passes.push_back(std::make_unique<IncludeStylePass>());
@@ -358,13 +368,6 @@ std::vector<std::unique_ptr<Pass>> ported_rule_passes() {
   passes.push_back(std::make_unique<TestDeterminismPass>());
   passes.push_back(std::make_unique<SimdIsolationPass>());
   passes.push_back(std::make_unique<ModelFromMachinePass>());
-  return passes;
-}
-
-std::vector<std::unique_ptr<Pass>> default_passes() {
-  std::vector<std::unique_ptr<Pass>> passes = ported_rule_passes();
-  passes.push_back(std::make_unique<IncludeLayeringPass>());
-  passes.push_back(std::make_unique<LockOrderPass>());
   passes.push_back(std::make_unique<WaitLoopPass>());
   return passes;
 }

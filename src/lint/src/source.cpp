@@ -24,12 +24,6 @@ SourceFile make_source_file(std::string rel, std::vector<std::string> raw) {
   f.in_tools = f.rel.rfind("tools/", 0) == 0;
   f.is_public_header =
       f.is_header && f.rel.find("/include/perfeng/") != std::string::npos;
-  if (f.in_src) {
-    const std::size_t start = 4;  // past "src/"
-    const std::size_t slash = f.rel.find('/', start);
-    if (slash != std::string::npos)
-      f.library = f.rel.substr(start, slash - start);
-  }
   return f;
 }
 

@@ -62,9 +62,9 @@ RuleInfo WaitLoopPass::rule() const {
           Severity::kWarning};
 }
 
-void WaitLoopPass::run(const PassContext& ctx,
+void WaitLoopPass::run(const std::vector<SourceFile>& files,
                        std::vector<Finding>& out) const {
-  for (const SourceFile& f : *ctx.files) {
+  for (const SourceFile& f : files) {
     if (!f.in_src) continue;
     // Flatten the cooked lines so loop headers and bodies spanning lines
     // are one searchable text; offsets map back to 1-based lines.

@@ -1,8 +1,8 @@
 // Tests for the pe::lint static-analysis subsystem: the comment/string/
-// raw-string-aware lexer, the declared-DAG repo model, the three
-// whole-program passes against seeded positive/negative fixture twins
-// (tests/lint_fixtures/), the waiver grammar, the baseline diff, and the
-// SARIF 2.1.0 render shape.
+// raw-string-aware lexer, the waiver grammar, every rule of the shipped
+// catalog against a seeded defect and its fixed or waived twin, the
+// wait-loop pass over the fixture trees (tests/lint_fixtures/), the
+// baseline diff, and the SARIF 2.1.0 render shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "perfeng/lint/driver.hpp"
 #include "perfeng/lint/lexer.hpp"
 #include "perfeng/lint/render.hpp"
-#include "perfeng/lint/repo_model.hpp"
 #include "perfeng/lint/source.hpp"
 
 namespace {
@@ -28,9 +27,7 @@ namespace {
 using pe::lint::Baseline;
 using pe::lint::Finding;
 using pe::lint::LintResult;
-using pe::lint::RepoModel;
 using pe::lint::ScanOptions;
-using pe::lint::Severity;
 using pe::lint::SourceFile;
 
 // Compile definition from tests/CMakeLists.txt: absolute path of
@@ -147,67 +144,119 @@ TEST(LintSource, WaiversApplyToLineAndLineAbove) {
   EXPECT_FALSE(pe::lint::file_allows(f, "no-volatile"));
 }
 
-// ----------------------------------------------------------- repo model
+// ---------------------------------------------------------------- rules
 
-TEST(LintRepoModel, ParsesDeclaredDagFromFixtureCMake) {
-  const RepoModel model = RepoModel::build(kFixtures + "/bad");
-  ASSERT_NE(model.by_name("alpha"), nullptr);
-  ASSERT_NE(model.by_target("perfeng_beta"), nullptr);
-  // alpha declares no dependency on beta in the bad tree.
-  EXPECT_FALSE(model.depends_on("alpha", "beta"));
-  EXPECT_TRUE(model.depends_on("alpha", "alpha"));
-  EXPECT_EQ(model.owner_of_header("perfeng/beta/b.hpp"), "beta");
-  EXPECT_EQ(model.owner_of_header("perfeng/nowhere/x.hpp"), "");
-  // gamma <-> delta is a declared cycle, reported exactly once.
-  EXPECT_EQ(model.declared_cycles().size(), 1u);
+// One seeded defect per rule, at a path the rule covers: `bad` fires
+// exactly once, on `line` (0 for a whole-file finding), and `twin` is the
+// fixed or waived version, which stays quiet.
+struct RuleCase {
+  std::string rule;
+  std::string path;
+  std::vector<std::string> bad;
+  std::size_t line;
+  std::vector<std::string> twin;
+};
 
-  const RepoModel clean = RepoModel::build(kFixtures + "/clean");
-  EXPECT_TRUE(clean.depends_on("alpha", "beta"));
-  EXPECT_TRUE(clean.declared_cycles().empty());
+const std::vector<RuleCase> kRuleCases = {
+    {"pragma-once",
+     "src/x/include/perfeng/x/x.hpp",
+     {"// x.hpp", "namespace pe {", "}  // namespace pe"},
+     2,
+     {"// x.hpp", "#pragma once", "namespace pe {", "}  // namespace pe"}},
+    {"include-style",
+     "src/x/src/x.cpp",
+     {"#include <vector>", "#include \"x.hpp\""},
+     2,
+     {"#include <vector>",
+      "#include \"x.hpp\"  // perfeng-lint: allow(include-style) — why"}},
+    {"namespace-pe",
+     "src/x/include/perfeng/x/x.hpp",
+     {"#pragma once", "inline int x() { return 1; }"},
+     0,
+     {"#pragma once", "namespace pe {", "inline int x() { return 1; }",
+      "}  // namespace pe"}},
+    {"no-using-namespace",
+     "src/x/src/x.cpp",
+     {"#include <vector>", "using namespace std;"},
+     2,
+     {"#include <vector>", "using namespace pe;"}},
+    {"no-std-rand",
+     "tests/test_x.cpp",
+     {"#include <cstdlib>", "int roll() { return std::rand() % 6; }"},
+     2,
+     {"#include <cstdlib>", "// perfeng-lint: allow(no-std-rand) — why",
+      "int roll() { return std::rand() % 6; }"}},
+    {"no-raw-new-array",
+     "bench/x.cpp",
+     {"double* make() {", "  return new double[64];", "}"},
+     2,
+     {"std::vector<double> make() {", "  return std::vector<double>(64);",
+      "}"}},
+    {"no-volatile",
+     "src/x/src/x.cpp",
+     {"namespace pe {", "volatile bool stop = false;", "}  // namespace pe"},
+     2,
+     {"namespace pe {", "// perfeng-lint: allow(no-volatile) — barrier sink",
+      "volatile double sink = 0.0;", "}  // namespace pe"}},
+    {"test-determinism",
+     "tests/test_x.cpp",
+     {"#include <chrono>", "auto t0 = std::chrono::system_clock::now();"},
+     2,
+     {"#include <chrono>", "auto t0 = std::chrono::steady_clock::now();"}},
+    {"simd-isolation",
+     "src/kernels/src/x.cpp",
+     {"void f(const double* p) {", "  __m256d v = _mm256_loadu_pd(p);",
+      "}"},
+     2,
+     {"void f(const double* p) {", "  auto v = pe::simd::VecD::load(p);",
+      "}"}},
+    {"model-from-machine",
+     "src/models/include/perfeng/models/x.hpp",
+     {"#pragma once", "namespace pe::models {", "struct X {};",
+      "}  // namespace pe::models"},
+     0,
+     {"#pragma once", "namespace pe::models {",
+      "struct X { static X from_machine(const Machine& m); };",
+      "}  // namespace pe::models"}},
+    {"wait-loop",
+     "src/x/src/x.cpp",
+     {"void wait(std::atomic<bool>& ready) {", "  while (!ready.load()) {",
+      "  }", "}"},
+     2,
+     {"void wait(std::atomic<bool>& ready) {", "  while (!ready.load()) {",
+      "    std::this_thread::yield();", "  }", "}"}},
+};
+
+// Findings of rule `rule` over the single file `path`.
+std::vector<Finding> run_rule(const std::string& rule, const std::string& path,
+                              const std::vector<std::string>& lines) {
+  return with_rule(
+      pe::lint::run_passes({pe::lint::make_source_file(path, lines)},
+                           pe::lint::default_passes()),
+      rule);
 }
 
-// ----------------------------------------------- whole-program passes
-
-TEST(LintLayering, FlagsUndeclaredIncludeEdgeAndDeclaredCycle) {
-  const auto bad = lint_fixture("bad", {"include-layering"});
-  const auto findings = with_rule(bad, "include-layering");
-  ASSERT_GE(findings.size(), 2u);
-  bool saw_edge = false;
-  bool saw_cycle = false;
-  for (const Finding& f : findings) {
-    EXPECT_EQ(f.severity, Severity::kError);
-    if (f.file == "src/alpha/include/perfeng/alpha/a.hpp" &&
-        f.message.find("beta") != std::string::npos)
-      saw_edge = true;
-    if (f.message.find("cycle") != std::string::npos &&
-        f.message.find("gamma") != std::string::npos &&
-        f.message.find("delta") != std::string::npos)
-      saw_cycle = true;
+TEST(LintRules, EveryRuleFiresOnceOnItsDefectAndNeverOnItsTwin) {
+  for (const auto& pass : pe::lint::default_passes()) {
+    const std::string id = pass->rule().id;
+    const auto it = std::find_if(
+        kRuleCases.begin(), kRuleCases.end(),
+        [&](const RuleCase& c) { return c.rule == id; });
+    ASSERT_NE(it, kRuleCases.end()) << "no seeded defect for " << id;
   }
-  EXPECT_TRUE(saw_edge);
-  EXPECT_TRUE(saw_cycle);
-
-  const auto clean = lint_fixture("clean", {"include-layering"});
-  EXPECT_TRUE(with_rule(clean, "include-layering").empty())
-      << pe::lint::render_text(clean.findings, clean.files_scanned);
+  for (const RuleCase& c : kRuleCases) {
+    SCOPED_TRACE(c.rule);
+    const std::vector<Finding> bad = run_rule(c.rule, c.path, c.bad);
+    ASSERT_EQ(bad.size(), 1u) << pe::lint::render_text(bad, 1);
+    EXPECT_EQ(bad.front().rule, c.rule);
+    EXPECT_EQ(bad.front().file, c.path);
+    EXPECT_EQ(bad.front().line, c.line);
+    const std::vector<Finding> twin = run_rule(c.rule, c.path, c.twin);
+    EXPECT_TRUE(twin.empty()) << pe::lint::render_text(twin, 1);
+  }
 }
 
-TEST(LintLockOrder, FlagsAbBaInversionWithWitnessAndClearsCleanTwin) {
-  const auto bad = lint_fixture("bad", {"lock-order"});
-  const auto findings = with_rule(bad, "lock-order");
-  ASSERT_EQ(findings.size(), 1u);
-  const Finding& f = findings.front();
-  EXPECT_EQ(f.severity, Severity::kError);
-  // The witness names both mutex identities and both offending functions.
-  EXPECT_NE(f.message.find("Pair::ma"), std::string::npos) << f.message;
-  EXPECT_NE(f.message.find("Pair::mb"), std::string::npos) << f.message;
-  EXPECT_NE(f.message.find("first"), std::string::npos) << f.message;
-  EXPECT_NE(f.message.find("second"), std::string::npos) << f.message;
-
-  const auto clean = lint_fixture("clean", {"lock-order"});
-  EXPECT_TRUE(with_rule(clean, "lock-order").empty())
-      << pe::lint::render_text(clean.findings, clean.files_scanned);
-}
+// ------------------------------------------------------------ wait-loop
 
 TEST(LintWaitLoop, FlagsBackoffFreeSpinsAndClearsYieldingTwin) {
   const auto bad = lint_fixture("bad", {"wait-loop"});
@@ -300,8 +349,9 @@ TEST(LintBaseline, MissingFileIsEmptyBaseline) {
 // ---------------------------------------------------------------- SARIF
 
 TEST(LintSarif, RendersTheShapeCiAndCodeScannersExpect) {
-  const auto bad = lint_fixture(
-      "bad", {"include-layering", "lock-order", "wait-loop"});
+  // Every rule runs; the bad tree holds wait-loop warnings and one
+  // error-level defect (a.hpp has no #pragma once).
+  const auto bad = lint_fixture("bad", {});
   const pe::JsonValue sarif = pe::json_parse(
       pe::lint::render_sarif(bad.findings, bad.rules), "sarif");
 
@@ -317,8 +367,10 @@ TEST(LintSarif, RendersTheShapeCiAndCodeScannersExpect) {
   std::vector<std::string> ids;
   for (const pe::JsonValue& rule : field(driver, "rules").array)
     ids.push_back(field(rule, "id").text);
-  for (const char* id : {"include-layering", "lock-order", "wait-loop"})
+  for (const auto& pass : pe::lint::default_passes()) {
+    const std::string id = pass->rule().id;
     EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
+  }
   // Each result's ruleIndex points at the rule its ruleId names, and it
   // carries a SARIF level and a physical location with a line.
   const pe::JsonValue& results = field(runs.array[0], "results");

@@ -1,7 +1,7 @@
 // perfeng-lint CLI: a thin shell over the pe::lint library (src/lint).
 //
-// The rule catalog, lexer, repo model, pass framework, renderers, and
-// baseline logic all live in the library; this file only parses flags.
+// The rule catalog, lexer, pass framework, renderers, and baseline logic
+// all live in the library; this file only parses flags.
 // See docs/lint.md for the pass catalog, waiver grammar, and the
 // baseline workflow.
 //
