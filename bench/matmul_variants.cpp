@@ -4,9 +4,9 @@
 // pe::simd vector layer.
 //
 // `--check` verifies both rungs of the claim: the packed path agrees with
-// the naive reference (documented-ULP envelope: the 4x8 microkernel
-// reassociates each dot product into 8 partial sums and fuses
-// multiply-adds when the backend has FMA) and it is decisively faster
+// the naive reference (documented-ULP envelope: the microkernel splits
+// each dot product at kc-block boundaries and fuses multiply-adds when
+// the backend has FMA) and it is decisively faster
 // than naive at the largest size. `--json <path>` writes the pe-bench-v1
 // snapshot checked in at bench/snapshots/BENCH_matmul.json.
 #include <algorithm>

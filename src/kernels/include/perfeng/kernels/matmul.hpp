@@ -73,7 +73,9 @@ void matmul_parallel(const Matrix& a, const Matrix& b, Matrix& c,
 /// nomenclature): the kernel packs `mc x kc` panels of A and `kc x nc`
 /// panels of B into contiguous tiles, then runs a register-blocked
 /// microkernel over them. The register tile (mr x nr) is a compile-time
-/// constant of the kernel; these three only set the cache footprint.
+/// constant of the kernel, VecD::lanes x 2*VecD::lanes (4x8 on AVX2 and
+/// generic builds, 8x16 on AVX-512); these three only set the cache
+/// footprint.
 struct MatmulBlocking {
   /// A-panel rows (mc*kc doubles ~ half of L2). The packed kernel caps
   /// it at m / lanes, rounded up to the register tile, so every lane gets

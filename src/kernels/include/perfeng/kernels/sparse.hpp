@@ -17,6 +17,7 @@
 
 #include "perfeng/common/rng.hpp"
 #include "perfeng/parallel/thread_pool.hpp"
+#include "perfeng/simd/vec.hpp"
 
 namespace pe::kernels {
 
@@ -77,10 +78,10 @@ struct EllMatrix {
   [[nodiscard]] double padding_ratio() const;
 };
 
-/// SELL-C-σ chunk height. Fixed at the native double-vector lane count
-/// (pe::simd::kDoubleLanes; sparse.cpp static_asserts the match) so one
-/// chunk's rows map one-to-one onto SIMD lanes.
-inline constexpr std::size_t kSellChunk = 4;
+/// SELL-C-σ chunk height: the native double-vector lane count (4 on AVX2
+/// and generic builds, 8 on AVX-512) so one chunk's rows map one-to-one
+/// onto SIMD lanes.
+inline constexpr std::size_t kSellChunk = simd::kDoubleLanes;
 
 /// SELL-C-σ storage (Kreutzer et al.): rows are grouped into chunks of
 /// C = kSellChunk, each chunk padded only to *its own* widest row (not the

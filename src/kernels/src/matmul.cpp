@@ -118,10 +118,13 @@ void matmul_parallel(const Matrix& a, const Matrix& b, Matrix& c,
 
 namespace {
 
-// Register tile of the packed microkernel: a 4x8 block of C accumulators
-// stays resident in registers across the whole kc-deep update.
-constexpr std::size_t kMr = 4;
-constexpr std::size_t kNr = 8;
+// Register tile of the packed microkernel: a kMr x kNr block of C
+// accumulators stays resident in registers across the whole kc-deep
+// update. It grows with the native vector (Goto & van de Geijn: fill the
+// register file): 4x8 in 8 of 16 ymm registers on AVX2, 8x16 in 16 of 32
+// zmm registers on AVX-512.
+constexpr std::size_t kMr = simd::VecD::lanes;
+constexpr std::size_t kNr = 2 * simd::VecD::lanes;
 
 /// Pack a kcb-deep strip of up to kNr columns of B (starting at j0) into
 /// k-major contiguous layout, zero-padding missing columns so the
@@ -150,15 +153,15 @@ void pack_a_strip(const Matrix& a, std::size_t i0, std::size_t height,
 /// zeros); only the writeback is guarded for edge tiles.
 ///
 /// Each C row is two VecD accumulators (kNr = 2 * VecD::lanes) updated by
-/// mul_add — fused to one rounding per update on the AVX2+FMA backend,
-/// which is why the packed path promises a small ULP envelope against the
-/// scalar references rather than bit-equality (see docs/simd.md).
+/// mul_add — fused to one rounding per update on the FMA backends, which
+/// is why the packed path promises a small ULP envelope against the naive
+/// scalar loop rather than bit-equality (see docs/simd.md). Per element
+/// that is one mul_add per k, in k order, then one add into C: the same
+/// bits for every tile shape at a given kc.
 void microkernel(const double* ap, const double* bp, std::size_t kcb,
                  double* c, std::size_t ldc, std::size_t rows,
                  std::size_t cols) {
   using simd::VecD;
-  static_assert(kNr == 2 * VecD::lanes,
-                "register tile is two native double vectors wide");
   VecD acc_lo[kMr], acc_hi[kMr];
   for (std::size_t r = 0; r < kMr; ++r) {
     acc_lo[r] = VecD::zero();

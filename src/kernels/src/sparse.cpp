@@ -11,9 +11,6 @@
 
 namespace pe::kernels {
 
-static_assert(kSellChunk == simd::kDoubleLanes,
-              "SELL chunk height must equal the native double lane count");
-
 void CooMatrix::normalize() {
   std::sort(entries.begin(), entries.end(),
             [](const Triplet& a, const Triplet& b) {
@@ -221,11 +218,10 @@ void sell_chunk_spmv(const SellMatrix& a, const std::vector<double>& x,
   const std::size_t base = a.chunk_ptr[chunk];
   const std::size_t width = (a.chunk_ptr[chunk + 1] - base) / c;
   VecD acc = VecD::zero();
-  double xg[c];
   for (std::size_t slot = 0; slot < width; ++slot) {
     const std::size_t off = base + slot * c;
-    for (std::size_t l = 0; l < c; ++l) xg[l] = x[a.col_idx[off + l]];
-    acc = acc + VecD::load(a.values.data() + off) * VecD::load(xg);
+    acc = acc + VecD::load(a.values.data() + off) *
+                    VecD::gather(x.data(), a.col_idx.data() + off);
   }
   double out[c];
   acc.store(out);

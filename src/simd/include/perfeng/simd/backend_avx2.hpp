@@ -8,9 +8,10 @@
 /// available (the build enables -mavx2 -mfma project-wide when the
 /// compiler and host support it, keeping the backend choice consistent
 /// across every TU — see PERFENG_SIMD_NATIVE in the top-level
-/// CMakeLists.txt). This header and backend_generic.hpp are the *only*
-/// places raw intrinsics may appear; perfeng-lint's `simd-isolation` rule
-/// holds everything else to the `Vec<T, N>` surface.
+/// CMakeLists.txt). AVX-512 builds define `__AVX2__` too and keep these
+/// 256-bit specializations beside the 512-bit ones. The backend_*.hpp
+/// headers are the *only* places raw intrinsics may appear; perfeng-lint's
+/// `simd-isolation` rule holds everything else to the `Vec<T, N>` surface.
 ///
 /// Semantics contract (tested in tests/test_simd.cpp): every lane-wise
 /// operation produces bit-identical results to the generic backend, and
@@ -22,6 +23,7 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdint>
 
 #include "perfeng/simd/backend_generic.hpp"
 
@@ -46,6 +48,12 @@ struct Vec<double, 4> {
   }
   [[nodiscard]] static Vec load(const double* p) {
     return {_mm256_loadu_pd(p)};
+  }
+  /// Assembled in registers from scalar loads, not a hardware gather.
+  [[nodiscard]] static Vec gather(const double* base,
+                                  const std::uint32_t* idx) {
+    return {_mm256_set_pd(base[idx[3]], base[idx[2]], base[idx[1]],
+                          base[idx[0]])};
   }
   void store(double* p) const { _mm256_storeu_pd(p, reg); }
 
@@ -98,6 +106,12 @@ struct Vec<float, 8> {
   }
   [[nodiscard]] static Vec load(const float* p) {
     return {_mm256_loadu_ps(p)};
+  }
+  [[nodiscard]] static Vec gather(const float* base,
+                                  const std::uint32_t* idx) {
+    return {_mm256_set_ps(base[idx[7]], base[idx[6]], base[idx[5]],
+                          base[idx[4]], base[idx[3]], base[idx[2]],
+                          base[idx[1]], base[idx[0]])};
   }
   void store(float* p) const { _mm256_storeu_ps(p, reg); }
 

@@ -13,12 +13,14 @@
 /// lets the tests demand exact equality instead of tolerances.
 
 #include <cstddef>
+#include <cstdint>
 
 namespace pe::simd {
 
 /// Fixed-width vector of N lanes of T. Specializations (see
-/// backend_avx2.hpp) overlay hardware registers; this primary template is
-/// the portable fallback with identical semantics.
+/// backend_avx2.hpp and backend_avx512.hpp) overlay hardware registers;
+/// this primary template is the portable fallback with identical
+/// semantics.
 template <typename T, std::size_t N>
 struct Vec {
   static_assert(N >= 1 && (N & (N - 1)) == 0, "lane count must be a power "
@@ -51,6 +53,17 @@ struct Vec {
     return v;
   }
 
+  /// Indexed load: lane i = base[idx[i]]. Kernels call this rather than
+  /// filling a stack array and calling load(): the hardware backends build
+  /// the vector in registers, where the array round trip can stall on
+  /// store forwarding (GCC 12 under -mprefer-vector-width=256 stores an
+  /// 8-double array as two 256-bit halves, then reloads it as one zmm).
+  [[nodiscard]] static Vec gather(const T* base, const std::uint32_t* idx) {
+    Vec v;
+    for (std::size_t i = 0; i < N; ++i) v.lane[i] = base[idx[i]];
+    return v;
+  }
+
   /// Store N contiguous elements (no alignment requirement).
   void store(T* p) const {
     for (std::size_t i = 0; i < N; ++i) p[i] = lane[i];
@@ -76,8 +89,8 @@ struct Vec {
     return v;
   }
 
-  /// this*b + c, lane-wise. Unfused here (two roundings); the AVX2+FMA
-  /// backend fuses (one rounding) and says so via kFusedMulAdd.
+  /// this*b + c, lane-wise. Unfused here (two roundings); the FMA
+  /// backends fuse (one rounding) and say so via kFusedMulAdd.
   [[nodiscard]] Vec mul_add(const Vec& b, const Vec& c) const {
     Vec v;
     for (std::size_t i = 0; i < N; ++i)

@@ -17,6 +17,7 @@
 #include "perfeng/kernels/stencil.hpp"
 #include "perfeng/kernels/transpose.hpp"
 #include "perfeng/parallel/thread_pool.hpp"
+#include "perfeng/simd/vec.hpp"
 
 namespace {
 
@@ -74,12 +75,16 @@ TEST(KernelsUnderChecker, PackedMatmulGivesEveryLaneARowPanel) {
     for (std::size_t j = 0; j < n; ++j)
       EXPECT_EQ(out(i, j), inline_out(i, j)) << i << "," << j;
 
-  // Three loops: zero-fill C (one static block per worker), pack B (16
-  // strips in claims of 8), then the row-panel sweep.
+  // Three loops: zero-fill C (one static block per worker), pack B
+  // (ceil(n / nr) strips of the register tile's nr = 2 * VecD::lanes
+  // columns, in claims of 8), then the row-panel sweep (>= 4 panels).
   const RaceReport report = checker.report();
   EXPECT_TRUE(report.clean()) << report.to_string();
   EXPECT_EQ(report.loops, 3u);
-  const std::size_t zero_fill_chunks = pool.size(), pack_b_chunks = 2;
+  const std::size_t nr = 2 * pe::simd::VecD::lanes;
+  const std::size_t b_strips = (n + nr - 1) / nr;
+  const std::size_t zero_fill_chunks = pool.size(),
+                    pack_b_chunks = (b_strips + 7) / 8;
   EXPECT_GE(report.chunks, zero_fill_chunks + pack_b_chunks + 4);
 }
 

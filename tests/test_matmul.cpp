@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 
 #include "perfeng/common/error.hpp"
 #include "perfeng/machine/registry.hpp"
+#include "perfeng/simd/vec.hpp"
 
 namespace {
 
@@ -131,14 +134,61 @@ TEST(MatmulPacked, DivergenceFromNaiveStaysInTheDocumentedUlpEnvelope) {
   }
 }
 
+/// Scalar twin of the packed kernel's per-element arithmetic: within each
+/// kc block, one multiply-add per k in k order into a zeroed accumulator
+/// (fused exactly when VecD::mul_add is), then one add into C.
+Matrix kc_blocked_reference(const Matrix& a, const Matrix& b,
+                            std::size_t kc) {
+  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+  Matrix c(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t pc = 0; pc < k; pc += kc) {
+        double acc = 0.0;
+        for (std::size_t kk = pc; kk < std::min(k, pc + kc); ++kk)
+          acc = pe::simd::VecD::kFusedMulAdd
+                    ? std::fma(a(i, kk), b(kk, j), acc)
+                    : a(i, kk) * b(kk, j) + acc;
+        c(i, j) = c(i, j) + acc;
+      }
+    }
+  }
+  return c;
+}
+
+TEST(MatmulPacked, BitExactAgainstTheKcBlockedScalarTwin) {
+  // The register tile (lanes x 2*lanes) sets speed, not bits: every tile
+  // shape computes each element as the scalar twin does, so the result
+  // matches it exactly on every backend and pool size. Shapes cover full
+  // and edge tiles at both 4x8 and 8x16, and k > kc (two kc blocks).
+  const pe::kernels::MatmulBlocking blocking{};
+  const std::size_t shapes[][3] = {
+      {64, 64, 64}, {33, 17, 45}, {37, 300, 51}, {8, 257, 16}, {1, 5, 3}};
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    pe::ThreadPool pool(workers);
+    for (const auto& s : shapes) {
+      Matrix a(s[0], s[1]), b(s[1], s[2]), out(s[0], s[2]);
+      pe::Rng rng(s[0] * 1000 + s[1] + s[2]);
+      a.randomize(rng);
+      b.randomize(rng);
+      pe::kernels::matmul_parallel_packed(a, b, out, pool, blocking);
+      EXPECT_EQ(out, kc_blocked_reference(a, b, blocking.kc))
+          << s[0] << "x" << s[1] << "x" << s[2] << " on " << workers
+          << " workers";
+    }
+  }
+}
+
 TEST(MatmulPacked, BlockingFromMachineIsUsable) {
   const pe::machine::Machine m = pe::machine::resolve_or_preset("laptop-x86");
   const auto blocking = pe::kernels::MatmulBlocking::from_machine(m);
-  EXPECT_GE(blocking.mc, 4u);
+  // Panels are whole register tiles: mr = VecD::lanes, nr = 2 * mr.
+  const std::size_t mr = pe::simd::VecD::lanes, nr = 2 * mr;
+  EXPECT_GE(blocking.mc, mr);
   EXPECT_GE(blocking.kc, 64u);
-  EXPECT_GE(blocking.nc, 8u);
-  EXPECT_EQ(blocking.mc % 4, 0u);
-  EXPECT_EQ(blocking.nc % 8, 0u);
+  EXPECT_GE(blocking.nc, nr);
+  EXPECT_EQ(blocking.mc % mr, 0u);
+  EXPECT_EQ(blocking.nc % nr, 0u);
 
   Matrix a(48, 32), b(32, 40);
   pe::Rng rng(11);

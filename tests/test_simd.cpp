@@ -3,9 +3,9 @@
 // backend, reductions use one fixed tree, and the *only* sanctioned
 // semantic difference is `mul_add` fusing — advertised through the
 // kFusedMulAdd trait, never silent. These tests pin that contract with
-// exact equality (no tolerances): when they pass on an AVX2 build and on
-// a generic build, a kernel written against Vec<T, N> is portable by
-// construction.
+// exact equality (no tolerances): when they pass on an AVX-512 build, an
+// AVX2 build and a generic build, a kernel written against Vec<T, N> is
+// portable by construction.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,97 +24,155 @@ using pe::simd::Vec;
 using pe::simd::VecD;
 using pe::simd::VecF;
 
-std::vector<double> random_doubles(std::size_t n, std::uint64_t seed) {
+template <typename T>
+std::vector<T> random_values(std::size_t n, std::uint64_t seed) {
   pe::Rng rng(seed);
-  std::vector<double> v(n);
-  for (double& x : v) x = rng.next_range_double(-8.0, 8.0);
+  std::vector<T> v(n);
+  for (T& x : v) x = static_cast<T>(rng.next_range_double(-8.0, 8.0));
   return v;
+}
+
+/// Random values spread over 24 binades, so that summing them in any
+/// order but the specified one rounds differently for most seeds.
+template <typename T>
+std::vector<T> spread_values(std::size_t n, std::uint64_t seed) {
+  std::vector<T> v = random_values<T>(n, seed);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = std::ldexp(v[i], static_cast<int>((i * 7 + seed) % 24) - 12);
+  return v;
+}
+
+/// Scalar statement of the stride-halving tree every backend's hsum must
+/// reproduce: add the upper half of the lanes onto the lower half, and
+/// repeat on the lower half until one lane is left.
+template <typename T>
+T stride_halving_sum(std::vector<T> lanes) {
+  for (std::size_t width = lanes.size(); width > 1; width /= 2)
+    for (std::size_t i = 0; i < width / 2; ++i)
+      lanes[i] = lanes[i] + lanes[i + width / 2];
+  return lanes[0];
 }
 
 TEST(Simd, LaneCountsMatchPreferredWidths) {
   EXPECT_EQ(VecD::lanes, pe::simd::kDoubleLanes);
   EXPECT_EQ(VecF::lanes, pe::simd::kFloatLanes);
-  EXPECT_EQ(VecD::lanes, 4u);
-  EXPECT_EQ(VecF::lanes, 8u);
+  // A hardware backend fills its register; the generic one mirrors AVX2.
+  const unsigned width = pe::simd::compiled_width_bits();
+  const unsigned bits = width > 0 ? width : 256;
+  EXPECT_EQ(VecD::lanes * 64, bits);
+  EXPECT_EQ(VecF::lanes * 32, bits);
 }
 
-TEST(Simd, ZeroBroadcastAndGet) {
-  const VecD z = VecD::zero();
-  for (std::size_t i = 0; i < VecD::lanes; ++i) EXPECT_EQ(z.get(i), 0.0);
-  const VecD b = VecD::broadcast(2.5);
-  for (std::size_t i = 0; i < VecD::lanes; ++i) EXPECT_EQ(b.get(i), 2.5);
+TEST(Simd, StrideHalvingTreeIsTheDocumentedOrder) {
+  // Pins the scalar tree the hsum checks below compare against to the
+  // orders docs/simd.md states for N=4 and N=8.
+  for (std::uint64_t seed = 41; seed < 57; ++seed) {
+    const auto x = spread_values<double>(8, seed);
+    EXPECT_EQ(
+        stride_halving_sum(std::vector<double>(x.begin(), x.begin() + 4)),
+        (x[0] + x[2]) + (x[1] + x[3]));
+    EXPECT_EQ(stride_halving_sum(x), ((x[0] + x[4]) + (x[2] + x[6])) +
+                                         ((x[1] + x[5]) + (x[3] + x[7])));
+  }
 }
 
-TEST(Simd, LoadStoreRoundTripsUnaligned) {
+// The contract checks, run on both register widths explicitly (VecD and
+// VecF are among them on every backend): an AVX-512 build tests its ymm
+// and its zmm specializations, an AVX2 build its ymm ones and the generic
+// template at 512 bits, a generic build the template at both.
+template <typename V>
+class SimdWidths : public ::testing::Test {};
+template <typename V>
+using Lane = decltype(V::zero().get(0));
+using Widths = ::testing::Types<Vec<double, 4>, Vec<float, 8>,
+                                Vec<double, 8>, Vec<float, 16>>;
+TYPED_TEST_SUITE(SimdWidths, Widths);
+
+TYPED_TEST(SimdWidths, ZeroBroadcastAndGet) {
+  using V = TypeParam;
+  using T = Lane<V>;
+  const V z = V::zero();
+  for (std::size_t i = 0; i < V::lanes; ++i) EXPECT_EQ(z.get(i), T(0));
+  const V b = V::broadcast(T(2.5));
+  for (std::size_t i = 0; i < V::lanes; ++i) EXPECT_EQ(b.get(i), T(2.5));
+}
+
+TYPED_TEST(SimdWidths, LoadStoreRoundTripsUnaligned) {
   // Loads and stores carry no alignment requirement — exercise every
-  // offset within a cache line to prove it.
-  const auto src = random_doubles(VecD::lanes + 7, 11);
-  for (std::size_t off = 0; off < 8; ++off) {
-    const VecD v = VecD::load(src.data() + off);
-    double out[VecD::lanes];
+  // element offset within a 64-byte line to prove it.
+  using V = TypeParam;
+  using T = Lane<V>;
+  constexpr std::size_t kOffsets = 64 / sizeof(T);
+  const auto src = random_values<T>(V::lanes + kOffsets - 1, 11);
+  for (std::size_t off = 0; off < kOffsets; ++off) {
+    const V v = V::load(src.data() + off);
+    T out[V::lanes];
     v.store(out);
-    for (std::size_t i = 0; i < VecD::lanes; ++i) {
+    for (std::size_t i = 0; i < V::lanes; ++i) {
       EXPECT_EQ(out[i], src[off + i]);
       EXPECT_EQ(v.get(i), src[off + i]);
     }
   }
 }
 
-TEST(Simd, ArithmeticIsLaneWiseExact) {
-  const auto xs = random_doubles(VecD::lanes, 21);
-  const auto ys = random_doubles(VecD::lanes, 22);
-  const VecD x = VecD::load(xs.data());
-  const VecD y = VecD::load(ys.data());
-  const VecD sum = x + y, diff = x - y, prod = x * y;
-  for (std::size_t i = 0; i < VecD::lanes; ++i) {
+TYPED_TEST(SimdWidths, GatherLoadsIndexedLanes) {
+  // Out-of-order and repeated indices, spread over a table larger than
+  // one vector.
+  using V = TypeParam;
+  using T = Lane<V>;
+  const auto table = random_values<T>(3 * V::lanes, 12);
+  std::uint32_t idx[V::lanes];
+  for (std::size_t i = 0; i < V::lanes; ++i)
+    idx[i] = static_cast<std::uint32_t>((i * 5 + 3) % (3 * V::lanes));
+  idx[V::lanes - 1] = idx[0];
+  const V v = V::gather(table.data(), idx);
+  for (std::size_t i = 0; i < V::lanes; ++i) EXPECT_EQ(v.get(i), table[idx[i]]);
+}
+
+TYPED_TEST(SimdWidths, ArithmeticIsLaneWiseExact) {
+  using V = TypeParam;
+  using T = Lane<V>;
+  const auto xs = random_values<T>(V::lanes, 21);
+  const auto ys = random_values<T>(V::lanes, 22);
+  const V x = V::load(xs.data());
+  const V y = V::load(ys.data());
+  const V sum = x + y, diff = x - y, prod = x * y;
+  for (std::size_t i = 0; i < V::lanes; ++i) {
     EXPECT_EQ(sum.get(i), xs[i] + ys[i]);
     EXPECT_EQ(diff.get(i), xs[i] - ys[i]);
     EXPECT_EQ(prod.get(i), xs[i] * ys[i]);
   }
 }
 
-TEST(Simd, MulAddHonorsTheFusedTrait) {
+TYPED_TEST(SimdWidths, MulAddHonorsTheFusedTrait) {
   // The one sanctioned backend difference: with kFusedMulAdd the result
   // is std::fma (one rounding), without it mul-then-add (two roundings).
   // Either way the trait tells callers exactly which — verified here per
   // lane with exact equality.
-  const auto as = random_doubles(VecD::lanes, 31);
-  const auto bs = random_doubles(VecD::lanes, 32);
-  const auto cs = random_doubles(VecD::lanes, 33);
-  const VecD r = VecD::load(as.data())
-                     .mul_add(VecD::load(bs.data()), VecD::load(cs.data()));
-  for (std::size_t i = 0; i < VecD::lanes; ++i) {
-    const double expect = VecD::kFusedMulAdd
-                              ? std::fma(as[i], bs[i], cs[i])
-                              : as[i] * bs[i] + cs[i];
+  using V = TypeParam;
+  using T = Lane<V>;
+  const auto as = random_values<T>(V::lanes, 31);
+  const auto bs = random_values<T>(V::lanes, 32);
+  const auto cs = random_values<T>(V::lanes, 33);
+  const V r =
+      V::load(as.data()).mul_add(V::load(bs.data()), V::load(cs.data()));
+  for (std::size_t i = 0; i < V::lanes; ++i) {
+    const T expect = V::kFusedMulAdd ? std::fma(as[i], bs[i], cs[i])
+                                     : as[i] * bs[i] + cs[i];
     EXPECT_EQ(r.get(i), expect);
   }
 }
 
-TEST(Simd, HsumUsesTheFixedStrideHalvingTree) {
-  // hsum must reduce as (l0+l2) + (l1+l3) for N=4 — the order the generic
-  // backend defines and every hardware backend must reproduce, so that a
-  // reduction written on Vec is bit-stable across backends.
-  const auto xs = random_doubles(VecD::lanes, 41);
-  const VecD v = VecD::load(xs.data());
-  const double expect = (xs[0] + xs[2]) + (xs[1] + xs[3]);
-  EXPECT_EQ(v.hsum(), expect);
-}
-
-TEST(Simd, FloatBackendMatchesScalarSemantics) {
-  pe::Rng rng(51);
-  float a[VecF::lanes], b[VecF::lanes];
-  for (std::size_t i = 0; i < VecF::lanes; ++i) {
-    a[i] = static_cast<float>(rng.next_range_double(-4.0, 4.0));
-    b[i] = static_cast<float>(rng.next_range_double(-4.0, 4.0));
+TYPED_TEST(SimdWidths, HsumUsesTheFixedStrideHalvingTree) {
+  // The order the generic backend defines and every hardware backend must
+  // reproduce, so that a reduction written on Vec is bit-stable across
+  // backends.
+  using V = TypeParam;
+  using T = Lane<V>;
+  for (std::uint64_t seed = 41; seed < 57; ++seed) {
+    const auto xs = spread_values<T>(V::lanes, seed);
+    EXPECT_EQ(V::load(xs.data()).hsum(), stride_halving_sum(xs)) << seed;
   }
-  const VecF prod = VecF::load(a) * VecF::load(b);
-  for (std::size_t i = 0; i < VecF::lanes; ++i)
-    EXPECT_EQ(prod.get(i), a[i] * b[i]);
-  // N=8 tree: ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
-  const float expect = ((a[0] + a[4]) + (a[2] + a[6])) +
-                       ((a[1] + a[5]) + (a[3] + a[7]));
-  EXPECT_EQ(VecF::load(a).hsum(), expect);
 }
 
 TEST(Simd, GenericTemplateAgreesWithCompiledBackendAtOtherWidths) {
@@ -122,8 +180,8 @@ TEST(Simd, GenericTemplateAgreesWithCompiledBackendAtOtherWidths) {
   // generic template — they must behave identically to VecD semantics so
   // kernels can pick any power-of-two width without surprises.
   using V2 = Vec<double, 2>;
-  const auto xs = random_doubles(2, 61);
-  const auto ys = random_doubles(2, 62);
+  const auto xs = random_values<double>(2, 61);
+  const auto ys = random_values<double>(2, 62);
   const V2 r = V2::load(xs.data()).mul_add(V2::load(ys.data()), V2::zero());
   for (std::size_t i = 0; i < 2; ++i) {
     const double expect = V2::kFusedMulAdd ? std::fma(xs[i], ys[i], 0.0)
@@ -136,7 +194,10 @@ TEST(Simd, GenericTemplateAgreesWithCompiledBackendAtOtherWidths) {
 TEST(Simd, CompiledBackendReportingIsConsistent) {
   const unsigned width = pe::simd::compiled_width_bits();
   const std::string name = pe::simd::compiled_backend_name();
-  if (name == "avx2") {
+  if (name == "avx512") {
+    EXPECT_EQ(width, 512u);
+    EXPECT_TRUE(pe::simd::fused_mul_add());
+  } else if (name == "avx2") {
     EXPECT_EQ(width, 256u);
   } else {
     EXPECT_EQ(name, "generic");
@@ -170,9 +231,13 @@ TEST(Simd, RuntimeCapsAreSelfConsistent) {
     EXPECT_EQ(width, 0u);
   }
   EXPECT_FALSE(caps.summary().empty());
-  // A binary compiled for AVX2 can only be running on an AVX2 host.
+  // A binary compiled for AVX2 (AVX-512F) can only be running on an AVX2
+  // (AVX-512F) host.
   if (pe::simd::compiled_width_bits() >= 256) {
     EXPECT_TRUE(caps.avx2);
+  }
+  if (pe::simd::compiled_width_bits() >= 512) {
+    EXPECT_TRUE(caps.avx512f);
   }
 }
 

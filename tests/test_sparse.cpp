@@ -320,21 +320,24 @@ TEST(Features, NamesMatchValues) {
 }
 
 TEST(Sell, ConversionLayoutAndPadding) {
-  // 2 rows -> one chunk of C=4 with 2 padding rows; chunk width = widest
-  // row (2), so storage is 4*2 slots for 3 real nonzeros.
+  // 2 rows -> one chunk of C (4, or 8 on AVX-512) with C-2 padding rows;
+  // chunk width = widest row (2), so storage is C*2 slots for 3 real
+  // nonzeros.
+  constexpr std::size_t c = pe::kernels::kSellChunk;
   const auto sell = pe::kernels::csr_to_sell(
       pe::kernels::coo_to_csr(small_coo()), /*sigma=*/1);
   EXPECT_EQ(sell.rows, 2u);
   EXPECT_EQ(sell.chunks(), 1u);
   EXPECT_EQ(sell.nnz(), 3u);
-  EXPECT_EQ(sell.values.size(), pe::kernels::kSellChunk * 2);
-  EXPECT_DOUBLE_EQ(sell.padding_ratio(), 8.0 / 3.0);
+  EXPECT_EQ(sell.values.size(), c * 2);
+  EXPECT_DOUBLE_EQ(sell.padding_ratio(), double(c * 2) / 3.0);
   // Padding rows carry the sentinel id; real rows keep their identity
   // (sigma=1 means no reordering).
+  ASSERT_EQ(sell.row_ids.size(), c);
   EXPECT_EQ(sell.row_ids[0], 0u);
   EXPECT_EQ(sell.row_ids[1], 1u);
-  EXPECT_EQ(sell.row_ids[2], pe::kernels::SellMatrix::kSellPadRow);
-  EXPECT_EQ(sell.row_ids[3], pe::kernels::SellMatrix::kSellPadRow);
+  for (std::size_t l = 2; l < c; ++l)
+    EXPECT_EQ(sell.row_ids[l], pe::kernels::SellMatrix::kSellPadRow) << l;
 }
 
 TEST(Sell, SigmaValidated) {
