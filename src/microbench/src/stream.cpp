@@ -1,6 +1,7 @@
 #include "perfeng/microbench/stream.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "perfeng/common/aligned_buffer.hpp"
 #include "perfeng/common/error.hpp"
@@ -39,47 +40,61 @@ std::size_t stream_flops_per_element(StreamKernel k) {
   return 0;
 }
 
-StreamResult run_stream(StreamKernel kernel, std::size_t elements,
-                        const BenchmarkRunner& runner) {
-  PE_REQUIRE(elements >= 16, "vector too small to measure");
-  AlignedBuffer<double> a(elements), b(elements), c(elements);
-  for (std::size_t i = 0; i < elements; ++i) {
-    a[i] = 1.0;
-    b[i] = 2.0;
-    c[i] = 0.0;
+namespace {
+
+/// The three STREAM vectors, allocated and first-touched once. Every
+/// kernel closure co-owns them: a timed-out measurement's abandoned helper
+/// thread keeps streaming after the caller unwinds
+/// (resilience/watchdog.hpp).
+struct StreamArrays {
+  explicit StreamArrays(std::size_t elements)
+      : a(elements), b(elements), c(elements) {
+    PE_REQUIRE(elements >= 16, "vector too small to measure");
+    for (std::size_t i = 0; i < elements; ++i) {
+      a[i] = 1.0;
+      b[i] = 2.0;
+      c[i] = 0.0;
+    }
   }
+  AlignedBuffer<double> a, b, c;
+};
+
+StreamResult measure_stream(StreamKernel kernel,
+                            const std::shared_ptr<StreamArrays>& arrays,
+                            const BenchmarkRunner& runner) {
+  const std::size_t elements = arrays->a.size();
   const double scalar = 3.0;
 
   // Raw pointers keep the inner loops free of any abstraction the compiler
-  // might fail to see through.
-  double* pa = a.data();
-  double* pb = b.data();
-  double* pc = c.data();
+  // might fail to see through; the captured `arrays` keeps them valid.
+  double* pa = arrays->a.data();
+  double* pb = arrays->b.data();
+  double* pc = arrays->c.data();
 
   // Loop bodies live in stream_kernels.hpp, explicitly vectorized through
   // pe::simd and tested against scalar references in tests/test_stream.cpp.
   std::function<void()> body;
   switch (kernel) {
     case StreamKernel::kCopy:
-      body = [pa, pb, elements] {
+      body = [arrays, pa, pb, elements] {
         stream_copy(pa, pb, elements);
         do_not_optimize(pb[0]);
       };
       break;
     case StreamKernel::kScale:
-      body = [pa, pb, scalar, elements] {
+      body = [arrays, pa, pb, scalar, elements] {
         stream_scale(pa, pb, scalar, elements);
         do_not_optimize(pb[0]);
       };
       break;
     case StreamKernel::kAdd:
-      body = [pa, pb, pc, elements] {
+      body = [arrays, pa, pb, pc, elements] {
         stream_add(pa, pb, pc, elements);
         do_not_optimize(pc[0]);
       };
       break;
     case StreamKernel::kTriad:
-      body = [pa, pb, pc, scalar, elements] {
+      body = [arrays, pa, pb, pc, scalar, elements] {
         stream_triad(pa, pb, pc, scalar, elements);
         do_not_optimize(pc[0]);
       };
@@ -98,12 +113,22 @@ StreamResult run_stream(StreamKernel kernel, std::size_t elements,
   return result;
 }
 
+}  // namespace
+
+StreamResult run_stream(StreamKernel kernel, std::size_t elements,
+                        const BenchmarkRunner& runner) {
+  return measure_stream(kernel, std::make_shared<StreamArrays>(elements),
+                        runner);
+}
+
 std::vector<StreamResult> run_stream_suite(std::size_t elements,
                                            const BenchmarkRunner& runner) {
+  // One set of arrays for all four kernels, as McCalpin's STREAM does.
+  const auto arrays = std::make_shared<StreamArrays>(elements);
   std::vector<StreamResult> out;
   for (StreamKernel k : {StreamKernel::kCopy, StreamKernel::kScale,
                          StreamKernel::kAdd, StreamKernel::kTriad}) {
-    out.push_back(run_stream(k, elements, runner));
+    out.push_back(measure_stream(k, arrays, runner));
   }
   return out;
 }

@@ -1,9 +1,13 @@
 // Tests for peak-FLOPS and latency microbenchmarks in perfeng/microbench.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "perfeng/common/error.hpp"
 #include "perfeng/microbench/latency.hpp"
 #include "perfeng/microbench/peak_flops.hpp"
+#include "perfeng/resilience/measurement_error.hpp"
 
 namespace {
 
@@ -58,6 +62,26 @@ TEST(Latency, SweepDoubles) {
   ASSERT_EQ(sweep.size(), 4u);
   EXPECT_EQ(sweep[0].bytes, std::size_t{1} << 12);
   EXPECT_EQ(sweep[3].bytes, std::size_t{1} << 15);
+}
+
+TEST(Latency, TimedOutChaseKeepsItsChainAlive) {
+  // The watchdog abandons its helper thread on timeout and run_latency
+  // unwinds; the helper must keep chasing memory it co-owns, not a chain
+  // freed with the caller's frame. The warm-up calls alone outlast the
+  // 1 ms deadline, so the helper is still chasing when the caller returns.
+  pe::MeasurementConfig cfg;
+  cfg.warmup_runs = 20;
+  cfg.repetitions = 1;
+  cfg.deadline_seconds = 1e-3;
+  const pe::BenchmarkRunner runner(cfg);
+  try {
+    (void)pe::microbench::run_latency(std::size_t{32} << 20, runner);
+    FAIL() << "expected MeasurementError";
+  } catch (const pe::resilience::MeasurementError& e) {
+    EXPECT_EQ(e.kind(), pe::resilience::FailureKind::kTimeout);
+  }
+  // Twenty calls of a few thousand hops each finish in well under this.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
 }
 
 TEST(Latency, SweepRangeValidated) {

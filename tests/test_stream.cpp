@@ -5,14 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "perfeng/common/error.hpp"
 #include "perfeng/common/rng.hpp"
 #include "perfeng/microbench/stream_kernels.hpp"
+#include "perfeng/resilience/measurement_error.hpp"
 #include "perfeng/simd/vec.hpp"
 
 namespace {
@@ -78,6 +81,26 @@ TEST(Stream, SuiteRunsAllFour) {
   ASSERT_EQ(suite.size(), 4u);
   EXPECT_EQ(suite[0].kernel, StreamKernel::kCopy);
   EXPECT_EQ(suite[3].kernel, StreamKernel::kTriad);
+}
+
+TEST(Stream, TimedOutKernelKeepsItsArraysAlive) {
+  // One triad over three 32 MiB vectors takes several ms, so the 1 ms
+  // watchdog abandons its helper thread mid-stream and run_stream unwinds;
+  // the helper must keep streaming arrays it co-owns, not freed ones.
+  pe::MeasurementConfig cfg;
+  cfg.warmup_runs = 1;
+  cfg.repetitions = 1;
+  cfg.deadline_seconds = 1e-3;
+  const pe::BenchmarkRunner runner(cfg);
+  try {
+    (void)pe::microbench::run_stream(StreamKernel::kTriad, 1 << 22, runner);
+    FAIL() << "expected MeasurementError";
+  } catch (const pe::resilience::MeasurementError& e) {
+    EXPECT_EQ(e.kind(), pe::resilience::FailureKind::kTimeout);
+  }
+  // The helper's three triads (warm-up, calibration, repetition) finish
+  // in well under this.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
 }
 
 TEST(Stream, SustainableBandwidthIsSuiteMax) {
