@@ -1,9 +1,9 @@
 // Robustness topic: a chaos campaign over the measurement toolbox — the
 // same fault-injection discipline production systems use, applied to a
 // benchmark suite. Demonstrates (1) seeded, reproducible fault plans,
-// (2) graceful suite degradation with partial scores, (3) the watchdog
-// aborting a runaway calibration, and (4) the counter collector falling
-// back to its simulated backend when the hardware path faults.
+// (2) graceful suite degradation with partial scores, (3) the runner's
+// deadline aborting a runaway calibration, and (4) the counter collector
+// falling back to its simulated backend when the hardware path faults.
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -112,8 +112,8 @@ int main() {
   std::puts(
       "same seed, same failure set — chaos campaigns are reproducible.\n");
 
-  // ---- 2. watchdog vs a runaway calibration ----
-  std::puts("-- watchdog: min_batch_seconds unreachable under deadline --");
+  // ---- 2. deadline vs a runaway calibration ----
+  std::puts("-- deadline: min_batch_seconds unreachable under deadline --");
   pe::MeasurementConfig strangled = cfg;
   strangled.min_batch_seconds = 60.0;  // would calibrate for a minute
   strangled.deadline_seconds = 0.25;
@@ -147,7 +147,7 @@ int main() {
 
   std::puts(
       "\nExpected shape: both chaos runs fail the identical member set; the "
-      "watchdog\nreturns a structured timeout instead of hanging; counter "
+      "deadline\nreturns a structured timeout instead of hanging; counter "
       "collection reports\na degraded simulated estimate instead of "
       "crashing the campaign.");
   return 0;

@@ -11,11 +11,13 @@
 /// hand in Assignment 1 before they may trust any Roofline placement.
 ///
 /// For unattended campaigns the runner is resilient (docs/robustness.md):
-/// an optional wall-clock `deadline_seconds` aborts runaway kernels or
-/// calibrations with a structured `pe::resilience::MeasurementError`
-/// instead of hanging, and an optional `retry` policy re-measures (with
-/// exponential backoff) when the sample's coefficient of variation says the
-/// host was too noisy, recording how many attempts the number cost.
+/// an optional wall-clock `deadline_seconds` stops a slow kernel or
+/// calibration with a structured `pe::resilience::MeasurementError`
+/// instead of letting it run on, and an optional `retry` policy re-measures
+/// (with exponential backoff) when the sample's coefficient of variation
+/// says the host was too noisy, recording how many attempts the number
+/// cost. Every kernel call runs on the caller's thread, so a kernel may
+/// capture its caller's locals by reference.
 
 #include <cstddef>
 #include <functional>
@@ -35,9 +37,11 @@ struct MeasurementConfig {
   double min_batch_seconds = 1e-3;  ///< grow batch until this long
   std::size_t max_batch_iterations = 1u << 20;  ///< safety cap
   /// Wall-clock budget per attempt (warmup + calibration + repetitions);
-  /// 0 disables the watchdog. On expiry the measurement throws
-  /// `pe::resilience::MeasurementError` (kind kTimeout) — see
-  /// resilience/watchdog.hpp for the abandoned-thread contract.
+  /// 0 means none. The runner checks it between kernel calls, after each
+  /// warm-up call, calibration batch and timed repetition, and throws
+  /// `pe::resilience::MeasurementError` (kind kTimeout) once it is spent,
+  /// so an attempt overshoots by at most one call or one batch. A call
+  /// that never returns is not interrupted.
   double deadline_seconds = 0.0;
   /// Retry-on-noise policy; max_attempts == 1 disables it.
   resilience::RetryPolicy retry;
@@ -72,31 +76,35 @@ class BenchmarkRunner {
   [[nodiscard]] Measurement run(const std::string& label,
                                 const std::function<void()>& kernel) const;
 
-  /// Measure a kernel whose per-call work is `work_units` (e.g. FLOPs or
-  /// bytes); the measurement label is annotated and throughput helpers in
-  /// metrics.hpp can consume the result.
+  /// Measure `kernel` with `setup` run, untimed, before every call (e.g. to
+  /// re-randomize an input the kernel mutates). A setup per call fixes the
+  /// batch at one call.
   [[nodiscard]] Measurement run_with_setup(
       const std::string& label, const std::function<void()>& setup,
       const std::function<void()>& kernel) const;
 
  private:
+  class Deadline;  // one attempt's wall-clock budget (benchmark_runner.cpp)
+
+  /// One measurement attempt, on the calling thread: warm-ups, batch
+  /// calibration, timed repetitions. A non-empty `setup` runs before every
+  /// call and fixes the batch at one call.
+  [[nodiscard]] Measurement attempt(const std::string& label,
+                                    const std::function<void()>& setup,
+                                    const std::function<void()>& kernel) const;
+
   /// Batch-size calibration; before each probe batch, predicts its runtime
   /// from the previous one and aborts with a timeout error if the deadline
-  /// cannot be met — so a slow-but-terminating kernel fails cleanly
-  /// before the watchdog expires. Static (and parameterized on a config)
-  /// because it runs inside the attempt closure, which may outlive both
-  /// `this` and the caller's stack when the watchdog abandons it.
-  [[nodiscard]] static std::size_t calibrate_batch(
-      const MeasurementConfig& config, const std::string& label,
-      const std::function<void()>& kernel, const WallTimer& attempt_timer);
+  /// cannot be met, so a slow kernel fails before the probe that would
+  /// overrun the budget rather than after it.
+  [[nodiscard]] std::size_t calibrate_batch(
+      const std::string& label, const std::function<void()>& kernel,
+      const Deadline& deadline) const;
 
-  /// Watchdog + retry-on-noise wrapper around one attempt body. The
-  /// attempt must be self-contained (no reference captures into frames
-  /// that unwind on timeout): the watchdog copies it into heap state
-  /// shared with a helper thread that survives a timeout.
+  /// Retry-on-noise wrapper around attempt().
   [[nodiscard]] Measurement measure_with_policy(
-      const std::string& label,
-      const std::function<Measurement()>& attempt) const;
+      const std::string& label, const std::function<void()>& setup,
+      const std::function<void()>& kernel) const;
 
   MeasurementConfig config_;
 };

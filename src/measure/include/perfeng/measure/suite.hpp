@@ -12,7 +12,7 @@
 /// reliable exam question).
 ///
 /// `run` degrades gracefully: a member whose measurement throws (kernel
-/// fault, watchdog timeout, injected chaos) is captured in
+/// fault, deadline timeout, injected chaos) is captured in
 /// `SuiteScore::failed` and the suite is scored over the survivors, so an
 /// unattended campaign always comes back with every result it could get.
 

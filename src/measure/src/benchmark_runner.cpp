@@ -1,14 +1,48 @@
 #include "perfeng/measure/benchmark_runner.hpp"
 
+#include <optional>
+
 #include "perfeng/common/error.hpp"
 #include "perfeng/common/fault_hook.hpp"
 #include "perfeng/resilience/measurement_error.hpp"
-#include "perfeng/resilience/watchdog.hpp"
 
 namespace pe {
 
 using resilience::FailureKind;
 using resilience::MeasurementError;
+
+/// One attempt's wall-clock budget. The runner reads it only between
+/// kernel calls, never inside a timed region, and a budget of 0 reads no
+/// clock at all.
+class BenchmarkRunner::Deadline {
+ public:
+  Deadline(double budget_seconds, const std::string& label)
+      : budget_(budget_seconds), label_(label) {
+    if (active()) timer_.emplace();
+  }
+
+  [[nodiscard]] bool active() const { return budget_ > 0.0; }
+
+  /// Seconds since the attempt started; only when active().
+  [[nodiscard]] double elapsed() const { return timer_->elapsed(); }
+
+  /// Throw a kTimeout error once the budget is spent; `after` names the
+  /// call that spent it.
+  void check(const char* after) const {
+    if (!active()) return;
+    const double spent = timer_->elapsed();
+    if (spent < budget_) return;
+    throw MeasurementError(FailureKind::kTimeout, label_, /*attempts=*/1,
+                           spent,
+                           "wall-clock deadline of " + std::to_string(budget_) +
+                               " s spent after " + after);
+  }
+
+ private:
+  double budget_;
+  const std::string& label_;
+  std::optional<WallTimer> timer_;
+};
 
 BenchmarkRunner::BenchmarkRunner(MeasurementConfig config)
     : config_(config) {
@@ -22,42 +56,42 @@ BenchmarkRunner::BenchmarkRunner(MeasurementConfig config)
 }
 
 std::size_t BenchmarkRunner::calibrate_batch(
-    const MeasurementConfig& config, const std::string& label,
-    const std::function<void()>& kernel, const WallTimer& attempt_timer) {
+    const std::string& label, const std::function<void()>& kernel,
+    const Deadline& deadline) const {
   // Double the batch size until one batch takes at least min_batch_seconds.
   std::size_t batch = 1;
   for (;;) {
     WallTimer t;
     for (std::size_t i = 0; i < batch; ++i) kernel();
     const double elapsed = t.elapsed();
-    if (elapsed >= config.min_batch_seconds ||
-        batch >= config.max_batch_iterations) {
+    deadline.check("a calibration batch");
+    if (elapsed >= config_.min_batch_seconds ||
+        batch >= config_.max_batch_iterations) {
       return batch;
     }
     // Jump straight to the projected size when we have signal, else double.
     std::size_t next;
     if (elapsed > 0.0) {
-      const double scale = config.min_batch_seconds / elapsed;
+      const double scale = config_.min_batch_seconds / elapsed;
       const auto projected =
           static_cast<std::size_t>(static_cast<double>(batch) * scale * 1.2) +
           1;
       next = std::min(std::max(projected, batch * 2),
-                      config.max_batch_iterations);
+                      config_.max_batch_iterations);
     } else {
-      next = std::min(batch * 2, config.max_batch_iterations);
+      next = std::min(batch * 2, config_.max_batch_iterations);
     }
     // Predictive deadline check: refuse to launch a probe batch whose
-    // projected runtime would blow the budget. This aborts on the caller's
-    // thread *before* the watchdog expires, so a slow-but-terminating
-    // kernel fails cleanly instead of being abandoned mid-batch.
-    if (config.deadline_seconds > 0.0 && elapsed > 0.0) {
+    // projected runtime would blow the budget, so a slow kernel chasing an
+    // unreachable min_batch_seconds fails now rather than one long batch
+    // later.
+    if (deadline.active() && elapsed > 0.0) {
       const double per_iteration = elapsed / static_cast<double>(batch);
       const double predicted =
           per_iteration * static_cast<double>(next);
-      if (attempt_timer.elapsed() + predicted > config.deadline_seconds) {
+      if (deadline.elapsed() + predicted > config_.deadline_seconds) {
         throw MeasurementError(
-            FailureKind::kTimeout, label, /*attempts=*/1,
-            attempt_timer.elapsed(),
+            FailureKind::kTimeout, label, /*attempts=*/1, deadline.elapsed(),
             "batch calibration at size " + std::to_string(batch) +
                 " projects " + std::to_string(predicted) +
                 " s for the next probe, exceeding the deadline");
@@ -67,9 +101,42 @@ std::size_t BenchmarkRunner::calibrate_batch(
   }
 }
 
+Measurement BenchmarkRunner::attempt(
+    const std::string& label, const std::function<void()>& setup,
+    const std::function<void()>& kernel) const {
+  const Deadline deadline(config_.deadline_seconds, label);
+  const auto guarded = [&kernel] {
+    fault_point(fault_sites::kKernelCall);
+    kernel();
+  };
+  for (int i = 0; i < config_.warmup_runs; ++i) {
+    if (setup) setup();
+    guarded();
+    deadline.check("a warm-up call");
+  }
+
+  Measurement m;
+  m.label = label;
+  // Setup must precede every timed execution (e.g. re-randomizing an input
+  // that the kernel mutates), so with one the batch is a single call.
+  m.batch_iterations = setup ? 1 : calibrate_batch(label, guarded, deadline);
+  m.seconds.reserve(static_cast<std::size_t>(config_.repetitions));
+  for (int rep = 0; rep < config_.repetitions; ++rep) {
+    if (setup) setup();
+    WallTimer t;
+    for (std::size_t i = 0; i < m.batch_iterations; ++i) guarded();
+    const double per_iteration =
+        t.elapsed() / static_cast<double>(m.batch_iterations);
+    m.seconds.push_back(fault_value(fault_sites::kKernelCall, per_iteration));
+    deadline.check("a timed repetition");
+  }
+  m.summary = summarize(m.seconds);
+  return m;
+}
+
 Measurement BenchmarkRunner::measure_with_policy(
-    const std::string& label,
-    const std::function<Measurement()>& attempt) const {
+    const std::string& label, const std::function<void()>& setup,
+    const std::function<void()>& kernel) const {
   const resilience::RetryPolicy& retry = config_.retry;
   const WallTimer total;
   Measurement m;
@@ -79,17 +146,9 @@ Measurement BenchmarkRunner::measure_with_policy(
   for (int attempt_no = 1;; ++attempt_no) {
     if (attempt_no > 1) resilience::sleep_for_seconds(backoff.next());
     try {
-      if (config_.deadline_seconds > 0.0) {
-        // The watchdog copies `attempt` into heap state co-owned by its
-        // helper thread; the result comes back by value. Nothing the
-        // abandoned thread touches lives on this (unwindable) stack.
-        m = resilience::run_with_deadline(config_.deadline_seconds, attempt,
-                                          label);
-      } else {
-        m = attempt();
-      }
+      m = attempt(label, setup, kernel);
     } catch (const MeasurementError& e) {
-      // Re-tag watchdog/calibration aborts with the true attempt count.
+      // Re-tag deadline and calibration aborts with the true attempt count.
       throw MeasurementError(e.kind(), label, attempt_no, total.elapsed(),
                              e.detail());
     }
@@ -113,33 +172,7 @@ Measurement BenchmarkRunner::measure_with_policy(
 Measurement BenchmarkRunner::run(const std::string& label,
                                  const std::function<void()>& kernel) const {
   PE_REQUIRE(static_cast<bool>(kernel), "null kernel");
-  // The attempt captures everything it touches by value: on a watchdog
-  // timeout it keeps executing on an abandoned thread after this frame —
-  // and possibly the runner itself — is gone.
-  return measure_with_policy(label, [config = config_, label,
-                                     kernel]() -> Measurement {
-    const auto guarded = [&kernel] {
-      fault_point(fault_sites::kKernelCall);
-      kernel();
-    };
-    const WallTimer attempt_timer;
-    for (int i = 0; i < config.warmup_runs; ++i) guarded();
-
-    Measurement m;
-    m.label = label;
-    m.batch_iterations = calibrate_batch(config, label, guarded, attempt_timer);
-    m.seconds.reserve(static_cast<std::size_t>(config.repetitions));
-    for (int rep = 0; rep < config.repetitions; ++rep) {
-      WallTimer t;
-      for (std::size_t i = 0; i < m.batch_iterations; ++i) guarded();
-      const double per_iteration =
-          t.elapsed() / static_cast<double>(m.batch_iterations);
-      m.seconds.push_back(
-          fault_value(fault_sites::kKernelCall, per_iteration));
-    }
-    m.summary = summarize(m.seconds);
-    return m;
-  });
+  return measure_with_policy(label, {}, kernel);
 }
 
 Measurement BenchmarkRunner::run_with_setup(
@@ -147,35 +180,7 @@ Measurement BenchmarkRunner::run_with_setup(
     const std::function<void()>& kernel) const {
   PE_REQUIRE(static_cast<bool>(setup), "null setup");
   PE_REQUIRE(static_cast<bool>(kernel), "null kernel");
-  // By-value captures for the same reason as run(): the watchdog may
-  // abandon this attempt mid-flight after the caller's stack unwinds.
-  return measure_with_policy(label, [config = config_, label, setup,
-                                     kernel]() -> Measurement {
-    const auto guarded = [&kernel] {
-      fault_point(fault_sites::kKernelCall);
-      kernel();
-    };
-    // Setup must precede every timed execution (e.g. re-randomizing an input
-    // that the kernel mutates); batching is therefore fixed at one iteration
-    // and the repetition count is raised to compensate.
-    for (int i = 0; i < config.warmup_runs; ++i) {
-      setup();
-      guarded();
-    }
-    Measurement m;
-    m.label = label;
-    m.batch_iterations = 1;
-    const int reps = config.repetitions;
-    m.seconds.reserve(static_cast<std::size_t>(reps));
-    for (int rep = 0; rep < reps; ++rep) {
-      setup();
-      WallTimer t;
-      guarded();
-      m.seconds.push_back(fault_value(fault_sites::kKernelCall, t.elapsed()));
-    }
-    m.summary = summarize(m.seconds);
-    return m;
-  });
+  return measure_with_policy(label, setup, kernel);
 }
 
 }  // namespace pe

@@ -1,7 +1,6 @@
 #include "perfeng/microbench/latency.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 
 #include "perfeng/common/aligned_buffer.hpp"
@@ -24,9 +23,7 @@ std::size_t slots(std::size_t bytes) {
 }
 
 /// Room for pointer chains of up to `capacity` slots, the visiting order
-/// that links one, and the chase's position in it. The kernel closure
-/// co-owns it: a timed-out measurement's abandoned helper thread keeps
-/// chasing after the caller's frame unwinds (resilience/watchdog.hpp).
+/// that links one, and the chase's position in it.
 struct Chase {
   explicit Chase(std::size_t capacity) : chain(capacity), order(capacity) {}
   AlignedBuffer<const void*> chain;
@@ -42,11 +39,11 @@ const void* hop(const void* p, std::size_t hops) {
 }
 
 /// Measure a working set of `bytes` in the first slots of `chase`.
-LatencyPoint measure(std::size_t bytes, const std::shared_ptr<Chase>& chase,
+LatencyPoint measure(std::size_t bytes, Chase& chase,
                      const BenchmarkRunner& runner, std::uint64_t seed) {
   const std::size_t count = slots(bytes);
-  AlignedBuffer<const void*>& chain = chase->chain;
-  std::vector<std::size_t>& order = chase->order;
+  AlignedBuffer<const void*>& chain = chase.chain;
+  std::vector<std::size_t>& order = chase.order;
 
   // Build a single random cycle (Sattolo's algorithm) so the chase visits
   // every slot exactly once before wrapping.
@@ -63,12 +60,12 @@ LatencyPoint measure(std::size_t bytes, const std::shared_ptr<Chase>& chase,
 
   // One untimed lap: from here on every hop lands on a line last touched
   // one lap earlier, the steady state the header defines.
-  chase->cursor = hop(&chain[order[0]], count);
+  chase.cursor = hop(&chain[order[0]], count);
 
   // Each call resumes where the previous one stopped.
   const Measurement m =
-      runner.run("latency " + std::to_string(bytes) + "B", [chase] {
-        chase->cursor = hop(chase->cursor, kHopsPerCall);
+      runner.run("latency " + std::to_string(bytes) + "B", [&chase] {
+        chase.cursor = hop(chase.cursor, kHopsPerCall);
       });
   LatencyPoint point;
   point.bytes = count * sizeof(void*);
@@ -80,7 +77,8 @@ LatencyPoint measure(std::size_t bytes, const std::shared_ptr<Chase>& chase,
 
 LatencyPoint run_latency(std::size_t bytes, const BenchmarkRunner& runner,
                          std::uint64_t seed) {
-  return measure(bytes, std::make_shared<Chase>(slots(bytes)), runner, seed);
+  Chase chase(slots(bytes));
+  return measure(bytes, chase, runner, seed);
 }
 
 std::vector<LatencyPoint> latency_sweep(std::size_t min_bytes,
@@ -90,10 +88,10 @@ std::vector<LatencyPoint> latency_sweep(std::size_t min_bytes,
   PE_REQUIRE(min_bytes <= max_bytes, "empty sweep range");
   // One chain and order, sized for the largest point, serve every point.
   // At 32 MiB and up glibc maps them outside its heap and unmaps them when
-  // the sweep ends. Per-point chains co-owned by their closures let the
-  // runner's small allocations pin freed chains in glibc's heap: 10-50 MiB
-  // stayed resident after a sweep and added to the next STREAM run's peak.
-  const auto chase = std::make_shared<Chase>(slots(max_bytes));
+  // the sweep ends. Per-point chains let the runner's small allocations pin
+  // freed chains in glibc's heap: 10-50 MiB stayed resident after a sweep
+  // and added to the next STREAM run's peak.
+  Chase chase(slots(max_bytes));
   std::vector<LatencyPoint> sweep;
   for (std::size_t b = min_bytes; b <= max_bytes; b *= 2) {
     sweep.push_back(measure(b, chase, runner, seed));

@@ -19,7 +19,7 @@ namespace pe::resilience {
 
 /// Why a measurement was abandoned.
 enum class FailureKind {
-  kTimeout,   ///< wall-clock deadline exceeded (watchdog fired)
+  kTimeout,   ///< the attempt spent its wall-clock deadline
   kFault,     ///< the kernel / backend threw
   kUnstable,  ///< sample CV stayed above threshold after all attempts
 };

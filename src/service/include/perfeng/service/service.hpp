@@ -21,8 +21,9 @@
 ///  4. **Deadline propagation**: each submission's remaining budget is
 ///     re-checked at dequeue — work that expired while queued is shed
 ///     unrun — and what's left flows into
-///     `MeasurementConfig::deadline_seconds`, i.e. the existing
-///     `run_with_deadline` watchdog bounds the run itself.
+///     `MeasurementConfig::deadline_seconds`, so the runner stops the run
+///     within one kernel call (or one timed batch) of that budget, on the
+///     worker's own thread.
 ///
 /// Execution is event-driven: each admitted submission enqueues one
 /// drain task on the pool, and each drain task retires exactly one

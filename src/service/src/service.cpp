@@ -270,10 +270,10 @@ Outcome BenchmarkService::execute(Task& task, double queue_seconds) {
 
   MeasurementConfig cfg = config_.measurement;
   if (task.request.deadline_seconds > 0.0) {
-    // What survives of the end-to-end budget bounds the run: the
-    // existing watchdog (run_with_deadline inside the runner) enforces
-    // it, so a kernel that outlives its budget fails with a structured
-    // timeout instead of hanging a server.
+    // What survives of the end-to-end budget bounds the run: the runner
+    // checks it between kernel calls on this worker's thread, so a run
+    // that outlives its budget fails with a structured timeout instead of
+    // holding a server.
     cfg.deadline_seconds = task.request.deadline_seconds - queue_seconds;
   }
   {

@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "perfeng/machine/registry.hpp"
 #include "perfeng/microbench/scheduler.hpp"
+#include "perfeng/resilience/measurement_error.hpp"
 #include "perfeng/simd/caps.hpp"
 #include "perfeng/simd/vec.hpp"
 
@@ -79,6 +82,29 @@ TEST(SchedulerProbe, MeasuresBothDispatchPaths) {
   const std::string s = sc.summary();
   EXPECT_NE(s.find("submit"), std::string::npos);
   EXPECT_NE(s.find("bulk"), std::string::npos);
+}
+
+TEST(SchedulerProbe, TimedOutProbeLeavesNothingRunning) {
+  // The probe's kernels capture its pool, futures, sink and counters by
+  // reference. The 1 ms budget is spent during the warm-ups, and the
+  // runner throws on this thread, so no call outlives the probe's frame.
+  // A call still running on another thread would reach those dead locals
+  // during the sleep, where ASan reports it.
+  pe::MeasurementConfig cfg;
+  cfg.warmup_runs = 20;
+  cfg.repetitions = 1;
+  cfg.deadline_seconds = 1e-3;
+  const pe::BenchmarkRunner runner(cfg);
+  pe::microbench::SchedulerProbeConfig probe;
+  probe.tasks = 20000;
+  probe.pool_threads = 2;
+  try {
+    (void)pe::microbench::probe_scheduler(runner, probe);
+    FAIL() << "expected MeasurementError";
+  } catch (const pe::resilience::MeasurementError& e) {
+    EXPECT_EQ(e.kind(), pe::resilience::FailureKind::kTimeout);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
 }
 
 TEST(SchedulerProbe, AppliesToMachineCalibration) {

@@ -65,10 +65,11 @@ TEST(Latency, SweepDoubles) {
 }
 
 TEST(Latency, TimedOutChaseKeepsItsChainAlive) {
-  // The watchdog abandons its helper thread on timeout and run_latency
-  // unwinds; the helper must keep chasing memory it co-owns, not a chain
-  // freed with the caller's frame. The warm-up calls alone outlast the
-  // 1 ms deadline, so the helper is still chasing when the caller returns.
+  // The warm-up calls alone outlast the 1 ms deadline, so the runner
+  // throws between two of them and run_latency frees its chain. Every
+  // call ran on this thread, so none is left chasing the freed chain; a
+  // call still running elsewhere would reach it during the sleep, where
+  // ASan reports it.
   pe::MeasurementConfig cfg;
   cfg.warmup_runs = 20;
   cfg.repetitions = 1;
@@ -80,7 +81,8 @@ TEST(Latency, TimedOutChaseKeepsItsChainAlive) {
   } catch (const pe::resilience::MeasurementError& e) {
     EXPECT_EQ(e.kind(), pe::resilience::FailureKind::kTimeout);
   }
-  // Twenty calls of a few thousand hops each finish in well under this.
+  // Twenty calls of a few thousand hops each would finish in well under
+  // this.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
 }
 

@@ -1,11 +1,12 @@
-// Tests for the resilient BenchmarkRunner: watchdog deadline, predictive
-// calibration abort, and retry-on-noise.
+// Tests for the resilient BenchmarkRunner: the per-attempt deadline checked
+// on the caller's thread, predictive calibration abort, and retry-on-noise.
 #include "perfeng/measure/benchmark_runner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "perfeng/resilience/fault_injection.hpp"
@@ -47,59 +48,56 @@ TEST(ResilientRunner, DefaultPolicyIsSingleStableAttempt) {
   EXPECT_GE(m.summary.cv, 0.0);
 }
 
-TEST(ResilientRunner, WatchdogAbortsRunawayKernel) {
+TEST(ResilientRunner, DeadlineRunsTheKernelOnTheCallingThread) {
   MeasurementConfig cfg = fast_config();
-  cfg.deadline_seconds = 0.25;
+  cfg.warmup_runs = 2;
+  cfg.deadline_seconds = 5.0;
   const BenchmarkRunner runner(cfg);
-  // The watchdog abandons the helper thread on timeout, so the kernel must
-  // never return into the (by then destroyed) measurement frames. It spins
-  // forever on an intentionally leaked flag, reading only thread-local
-  // state after entry; the detached thread dies with the process.
-  auto* leaked_flag = new std::atomic<bool>(false);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  int elsewhere = 0;  // plain ints: every call is on this thread
+  const auto m = runner.run("here", [&] {
+    ++calls;
+    if (std::this_thread::get_id() != caller) ++elsewhere;
+  });
+  EXPECT_EQ(m.seconds.size(), 4u);
+  EXPECT_GT(calls, 2);
+  EXPECT_EQ(elsewhere, 0);
+}
+
+TEST(ResilientRunner, TimedOutKernelIsNeverCalledAfterTheThrow) {
+  // The deadline is checked after each warm-up call: the second 80 ms call
+  // spends the 0.1 s budget, the runner throws, and no call follows.
+  MeasurementConfig cfg;
+  cfg.warmup_runs = 2;
+  cfg.repetitions = 1;
+  cfg.min_batch_seconds = 1e-9;
+  cfg.deadline_seconds = 0.1;
+  const BenchmarkRunner runner(cfg);
+  std::atomic<int> calls{0};
   try {
-    (void)runner.run("runaway", [leaked_flag] {
-      std::atomic<bool>* f = leaked_flag;
-      while (!f->load(std::memory_order_relaxed)) std::this_thread::yield();
+    (void)runner.run("slow-but-terminating", [&calls] {
+      ++calls;
+      std::this_thread::sleep_for(std::chrono::milliseconds(80));
     });
     FAIL() << "expected MeasurementError";
   } catch (const MeasurementError& e) {
     EXPECT_EQ(e.kind(), FailureKind::kTimeout);
-    EXPECT_EQ(e.label(), "runaway");
     EXPECT_EQ(e.attempts(), 1);
+    EXPECT_GE(e.elapsed_seconds(), 0.1);
   }
+  EXPECT_EQ(calls.load(), 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(calls.load(), 2);
 }
 
-TEST(ResilientRunner, AbandonedSlowKernelFinishesSafely) {
-  // Regression: on timeout the abandoned attempt used to write its result
-  // through references into the unwound measurement frames (use-after-free
-  // caught by the sanitized chaos run). The attempt now owns copies of
-  // everything it touches, so a slow-but-*terminating* kernel that blows
-  // the deadline mid-warmup runs to completion harmlessly after the
-  // runner, label and kernel of the timed-out call are all destroyed.
-  auto calls = std::make_shared<std::atomic<int>>(0);
-  {
-    MeasurementConfig cfg;
-    cfg.warmup_runs = 2;  // the deadline expires during warmup
-    cfg.repetitions = 1;
-    cfg.min_batch_seconds = 1e-9;
-    cfg.deadline_seconds = 0.1;
-    const BenchmarkRunner runner(cfg);
-    EXPECT_THROW((void)runner.run("slow-but-terminating",
-                                  [calls] {
-                                    ++*calls;
-                                    std::this_thread::sleep_for(
-                                        std::chrono::milliseconds(80));
-                                  }),
-                 MeasurementError);
-  }
-  // 2 warmups + 1 calibration batch + 1 repetition = 4 kernel calls; wait
-  // for the abandoned attempt to finish them and write its (now heap-
-  // owned) Measurement. Any dangling reference dies here under ASan.
-  const pe::WallTimer t;
-  while (calls->load() < 4 && t.elapsed() < 5.0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_GE(calls->load(), 4);
+TEST(ResilientRunner, KernelExceptionUnderADeadlineReachesTheCaller) {
+  MeasurementConfig cfg = fast_config();
+  cfg.deadline_seconds = 5.0;
+  const BenchmarkRunner runner(cfg);
+  EXPECT_THROW(
+      (void)runner.run("throws", [] { throw std::runtime_error("inner"); }),
+      std::runtime_error);
 }
 
 TEST(ResilientRunner, CalibrationAbortsPredictively) {
@@ -120,7 +118,7 @@ TEST(ResilientRunner, CalibrationAbortsPredictively) {
     EXPECT_NE(std::string(e.what()).find("calibration"), std::string::npos);
   }
   // The predictive check fired after the first probe, well before the
-  // deadline — no thread was abandoned and no time was wasted.
+  // deadline, so no time was wasted on a probe that could not fit.
   EXPECT_LT(t.elapsed(), 0.4);
 }
 

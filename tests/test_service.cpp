@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -157,6 +158,30 @@ TEST(Service, DeadlineExpiredInQueueShedsWithoutRunning) {
   EXPECT_EQ(runs->load(), 0);  // expired work is never run
   EXPECT_EQ(blocker.outcome.get().state, TerminalState::kCompleted);
   EXPECT_EQ(h.service->stats().shed_deadline, 1u);
+}
+
+TEST(Service, TimedOutRunStopsCallingItsKernel) {
+  // The default design (2 warm-ups, 10 repetitions) would call a 20 ms
+  // kernel 13 times; the 50 ms budget is spent after the third call, and
+  // the run stops there, on the worker's thread. No timing race decides
+  // the verdict: thirteen 20 ms calls cannot fit in 50 ms.
+  ServiceConfig config;
+  config.measurement = pe::MeasurementConfig{};
+  Harness h(std::move(config));
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  const auto slow = [calls] {
+    calls->fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  const SubmitResult r = h.submit("alice", "slow", slow, /*deadline=*/0.05);
+  ASSERT_TRUE(r.admitted);
+  const auto outcome = r.outcome.get();
+  EXPECT_EQ(outcome.state, TerminalState::kFailed);
+  EXPECT_EQ(outcome.failure_kind, pe::resilience::FailureKind::kTimeout);
+  const int at_resolve = calls->load();
+  EXPECT_GT(at_resolve, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(calls->load(), at_resolve);
 }
 
 TEST(Service, TenantFloodIsShedWhileOthersAreServed) {

@@ -85,8 +85,10 @@ TEST(Stream, SuiteRunsAllFour) {
 
 TEST(Stream, TimedOutKernelKeepsItsArraysAlive) {
   // One triad over three 32 MiB vectors takes several ms, so the 1 ms
-  // watchdog abandons its helper thread mid-stream and run_stream unwinds;
-  // the helper must keep streaming arrays it co-owns, not freed ones.
+  // budget is spent by the warm-up call; the runner throws and run_stream
+  // frees its arrays. Every call ran on this thread, so none is left
+  // streaming freed arrays; a call still running elsewhere would reach
+  // them during the sleep, where ASan reports it.
   pe::MeasurementConfig cfg;
   cfg.warmup_runs = 1;
   cfg.repetitions = 1;
@@ -98,8 +100,8 @@ TEST(Stream, TimedOutKernelKeepsItsArraysAlive) {
   } catch (const pe::resilience::MeasurementError& e) {
     EXPECT_EQ(e.kind(), pe::resilience::FailureKind::kTimeout);
   }
-  // The helper's three triads (warm-up, calibration, repetition) finish
-  // in well under this.
+  // Three triads (warm-up, calibration, repetition) would finish in well
+  // under this.
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
 }
 
