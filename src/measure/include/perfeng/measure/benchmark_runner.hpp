@@ -7,8 +7,15 @@
 /// experiment design: warmup runs are discarded, the batch size is grown
 /// until one batch exceeds a minimum measurable time (shielding against
 /// timer quantization), and the requested number of repetitions is recorded
-/// for statistical summary. This is the behaviour students must implement by
-/// hand in Assignment 1 before they may trust any Roofline placement.
+/// for statistical summary. The batch that ends calibration is already a
+/// complete, correctly sized, timed batch, so it is recorded as the first
+/// repetition instead of being run again — unless it is the attempt's very
+/// first call (no warm-up, calibration done after one call), which is cold
+/// and stays discarded. For the same reason that cold call never sizes a
+/// batch: when it falls short of the minimum time, one warm call is timed
+/// and the batch is projected from that. This is the behaviour students
+/// must implement by hand in Assignment 1 before they may trust any
+/// Roofline placement.
 ///
 /// For unattended campaigns the runner is resilient (docs/robustness.md):
 /// an optional wall-clock `deadline_seconds` stops a slow kernel or
@@ -33,7 +40,10 @@ namespace pe {
 /// Experiment design knobs for one measurement.
 struct MeasurementConfig {
   int warmup_runs = 2;         ///< discarded executions before timing
-  int repetitions = 10;        ///< recorded, independently-timed batches
+  /// Recorded, independently-timed batches. The batch that ends
+  /// calibration is the first of them when a call of the attempt (a
+  /// warm-up or an earlier calibration batch) came before it.
+  int repetitions = 10;
   double min_batch_seconds = 1e-3;  ///< grow batch until this long
   std::size_t max_batch_iterations = 1u << 20;  ///< safety cap
   /// Wall-clock budget per attempt (warmup + calibration + repetitions);
@@ -93,13 +103,27 @@ class BenchmarkRunner {
                                     const std::function<void()>& setup,
                                     const std::function<void()>& kernel) const;
 
-  /// Batch-size calibration; before each probe batch, predicts its runtime
-  /// from the previous one and aborts with a timeout error if the deadline
-  /// cannot be met, so a slow kernel fails before the probe that would
-  /// overrun the budget rather than after it.
-  [[nodiscard]] std::size_t calibrate_batch(
-      const std::string& label, const std::function<void()>& kernel,
-      const Deadline& deadline) const;
+  /// A timed batch: `iterations` kernel calls and the seconds they took.
+  /// `first_call` marks the attempt's cold first call (no warm-up came
+  /// before it), which is never a sample.
+  struct Batch {
+    std::size_t iterations;
+    double seconds;
+    bool first_call;
+  };
+
+  /// Batch-size calibration: grows the batch until one takes at least
+  /// `min_batch_seconds` or reaches `max_batch_iterations`, and returns
+  /// that accepted batch, size and time, so the caller can record it.
+  /// Sizes are projected from a warm batch: a cold first call that falls
+  /// short is followed by one warm call, not by a batch sized from it.
+  /// Before each probe batch it predicts the batch's runtime from the
+  /// previous one and aborts with a timeout error if the deadline cannot be
+  /// met, so a slow kernel fails before the probe that would overrun the
+  /// budget rather than after it.
+  [[nodiscard]] Batch calibrate_batch(const std::string& label,
+                                      const std::function<void()>& kernel,
+                                      const Deadline& deadline) const;
 
   /// Retry-on-noise wrapper around attempt().
   [[nodiscard]] Measurement measure_with_policy(

@@ -11,6 +11,23 @@ namespace pe {
 using resilience::FailureKind;
 using resilience::MeasurementError;
 
+namespace {
+
+/// Seconds taken by `calls` consecutive calls of `kernel`, each passing the
+/// `kernel.call` fault site, between two reads of one timer. Calibration,
+/// the timed repetitions and (discarding the time) the warm-ups all call
+/// the kernel through here, so every sample comes from the same loop.
+double time_batch(const std::function<void()>& kernel, std::size_t calls) {
+  const WallTimer t;
+  for (std::size_t i = 0; i < calls; ++i) {
+    fault_point(fault_sites::kKernelCall);
+    kernel();
+  }
+  return t.elapsed();
+}
+
+}  // namespace
+
 /// One attempt's wall-clock budget. The runner reads it only between
 /// kernel calls, never inside a timed region, and a budget of 0 reads no
 /// clock at all.
@@ -55,23 +72,31 @@ BenchmarkRunner::BenchmarkRunner(MeasurementConfig config)
   resilience::validate(config_.retry);
 }
 
-std::size_t BenchmarkRunner::calibrate_batch(
+BenchmarkRunner::Batch BenchmarkRunner::calibrate_batch(
     const std::string& label, const std::function<void()>& kernel,
     const Deadline& deadline) const {
-  // Double the batch size until one batch takes at least min_batch_seconds.
+  // Start at one call and jump to the size projected to fill
+  // min_batch_seconds (with 1.2x headroom, at least doubling) until one
+  // batch takes that long or reaches the cap. With no warm-up the first
+  // call is cold (caches, page tables, branch history): projected from, it
+  // undersizes the next batch, which then falls short and is thrown away.
+  // So a short first call is followed by one warm call, and the projection
+  // starts from that.
+  bool first_call = config_.warmup_runs == 0;
   std::size_t batch = 1;
   for (;;) {
-    WallTimer t;
-    for (std::size_t i = 0; i < batch; ++i) kernel();
-    const double elapsed = t.elapsed();
+    const double elapsed = time_batch(kernel, batch);
     deadline.check("a calibration batch");
     if (elapsed >= config_.min_batch_seconds ||
         batch >= config_.max_batch_iterations) {
-      return batch;
+      return {batch, elapsed, first_call};
     }
     // Jump straight to the projected size when we have signal, else double.
     std::size_t next;
-    if (elapsed > 0.0) {
+    if (first_call) {
+      next = 1;
+      first_call = false;
+    } else if (elapsed > 0.0) {
       const double scale = config_.min_batch_seconds / elapsed;
       const auto projected =
           static_cast<std::size_t>(static_cast<double>(batch) * scale * 1.2) +
@@ -105,29 +130,37 @@ Measurement BenchmarkRunner::attempt(
     const std::string& label, const std::function<void()>& setup,
     const std::function<void()>& kernel) const {
   const Deadline deadline(config_.deadline_seconds, label);
-  const auto guarded = [&kernel] {
-    fault_point(fault_sites::kKernelCall);
-    kernel();
-  };
   for (int i = 0; i < config_.warmup_runs; ++i) {
     if (setup) setup();
-    guarded();
+    (void)time_batch(kernel, 1);
     deadline.check("a warm-up call");
   }
 
   Measurement m;
   m.label = label;
+  const auto repetitions = static_cast<std::size_t>(config_.repetitions);
+  m.seconds.reserve(repetitions);
+  const auto record = [&m](double batch_seconds) {
+    m.seconds.push_back(fault_value(
+        fault_sites::kKernelCall,
+        batch_seconds / static_cast<double>(m.batch_iterations)));
+  };
   // Setup must precede every timed execution (e.g. re-randomizing an input
-  // that the kernel mutates), so with one the batch is a single call.
-  m.batch_iterations = setup ? 1 : calibrate_batch(label, guarded, deadline);
-  m.seconds.reserve(static_cast<std::size_t>(config_.repetitions));
-  for (int rep = 0; rep < config_.repetitions; ++rep) {
+  // that the kernel mutates), so with one the batch is a single call and
+  // there is no calibration.
+  if (!setup) {
+    const Batch accepted = calibrate_batch(label, kernel, deadline);
+    m.batch_iterations = accepted.iterations;
+    // The accepted batch is a full timed batch: record it as the first
+    // repetition when a call of this attempt preceded it (a warm-up, or an
+    // earlier calibration batch). Otherwise it is the attempt's cold first
+    // call and stays discarded. It already passed its deadline check; it is
+    // not run again.
+    if (!accepted.first_call) record(accepted.seconds);
+  }
+  while (m.seconds.size() < repetitions) {
     if (setup) setup();
-    WallTimer t;
-    for (std::size_t i = 0; i < m.batch_iterations; ++i) guarded();
-    const double per_iteration =
-        t.elapsed() / static_cast<double>(m.batch_iterations);
-    m.seconds.push_back(fault_value(fault_sites::kKernelCall, per_iteration));
+    record(time_batch(kernel, m.batch_iterations));
     deadline.check("a timed repetition");
   }
   m.summary = summarize(m.seconds);

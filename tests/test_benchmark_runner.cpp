@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "perfeng/common/error.hpp"
@@ -48,8 +49,74 @@ TEST(BenchmarkRunner, WarmupRunsExecuteBeforeTiming) {
   cfg.max_batch_iterations = 1;  // pin the batch to isolate the count
   pe::BenchmarkRunner runner(cfg);
   (void)runner.run("counted", [&calls] { ++calls; });
-  // 5 warmups + 1 calibration batch + 3 timed batches of 1.
-  EXPECT_EQ(calls.load(), 9);
+  // 5 warmups + the 1-call calibration batch, recorded as repetition 0,
+  // + 2 more timed batches of 1.
+  EXPECT_EQ(calls.load(), 8);
+}
+
+TEST(BenchmarkRunner, CalibrationBatchIsTheFirstRepetition) {
+  // The floor is unreachable, so calibration jumps 1 -> 4 and stops at the
+  // cap. That 4-call batch followed a warm-up and a 1-call batch, so it is
+  // recorded as repetition 0 and only 2 more batches are timed.
+  pe::MeasurementConfig cfg;
+  cfg.warmup_runs = 1;
+  cfg.repetitions = 3;
+  cfg.min_batch_seconds = 10.0;
+  cfg.max_batch_iterations = 4;
+  pe::BenchmarkRunner runner(cfg);
+  int calls = 0;
+  const auto m = runner.run("counted", [&calls] {
+    ++calls;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  });
+  EXPECT_EQ(m.batch_iterations, 4u);
+  EXPECT_EQ(m.seconds.size(), 3u);
+  // 1 warm-up + calibration batches of 1 and 4 + 2 timed batches of 4.
+  EXPECT_EQ(calls, 1 + 1 + 4 + 2 * 4);
+}
+
+TEST(BenchmarkRunner, FirstCallOfTheAttemptIsNeverASample) {
+  // No warm-up and a first call that meets the floor: calibration ends on
+  // the attempt's cold first call, which is discarded, and all 3
+  // repetitions are timed afresh.
+  pe::MeasurementConfig cfg;
+  cfg.warmup_runs = 0;
+  cfg.repetitions = 3;
+  cfg.min_batch_seconds = 1e-4;
+  pe::BenchmarkRunner runner(cfg);
+  int calls = 0;
+  const auto m = runner.run("cold-first", [&calls] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(calls++ == 0 ? 20
+                                                                       : 2));
+  });
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(m.batch_iterations, 1u);
+  ASSERT_EQ(m.seconds.size(), 3u);
+  for (const double s : m.seconds) EXPECT_LT(s, 0.010);
+}
+
+TEST(BenchmarkRunner, ColdFirstCallDoesNotSizeTheBatch) {
+  // No warm-up, a 4 ms cold first call, 2 ms warm calls, a 5 ms floor.
+  // Sized from the cold call, calibration would run an undersized batch
+  // of 2 and then one of 4 (7 calls). Instead one warm call is timed and
+  // the batch projected from it meets the floor at once: the cold call,
+  // the warm probe and the accepted batch, which is the only repetition.
+  pe::MeasurementConfig cfg;
+  cfg.warmup_runs = 0;
+  cfg.repetitions = 1;
+  cfg.min_batch_seconds = 5e-3;
+  pe::BenchmarkRunner runner(cfg);
+  int calls = 0;
+  const auto m = runner.run("cold-then-warm", [&calls] {
+    const auto end = std::chrono::steady_clock::now() +
+                     std::chrono::milliseconds(calls++ == 0 ? 4 : 2);
+    while (std::chrono::steady_clock::now() < end) {
+    }
+  });
+  ASSERT_EQ(m.seconds.size(), 1u);
+  EXPECT_GE(m.batch_iterations, 3u);
+  EXPECT_EQ(static_cast<std::size_t>(calls), 2 + m.batch_iterations);
+  EXPECT_LT(m.seconds[0], 3e-3);
 }
 
 TEST(BenchmarkRunner, BestNeverExceedsTypical) {

@@ -117,8 +117,9 @@ TEST(ResilientRunner, CalibrationAbortsPredictively) {
     EXPECT_EQ(e.kind(), FailureKind::kTimeout);
     EXPECT_NE(std::string(e.what()).find("calibration"), std::string::npos);
   }
-  // The predictive check fired after the first probe, well before the
-  // deadline, so no time was wasted on a probe that could not fit.
+  // The predictive check fired after the first warm probe (the cold first
+  // call is followed by one warm call), well before the deadline, so no
+  // time was wasted on a probe that could not fit.
   EXPECT_LT(t.elapsed(), 0.4);
 }
 
@@ -179,6 +180,30 @@ TEST(ResilientRunner, StableSampleStopsRetrying) {
   const auto m = runner.run("calm", [&] { sink = sink + 1.0; });
   EXPECT_EQ(m.attempts, 1);
   EXPECT_TRUE(m.stable);
+}
+
+TEST(ResilientRunner, EverySampleTakesOneValueFault) {
+  // The calibration batch recorded as repetition 0 passes the value site
+  // exactly once, like each timed repetition: 5 samples, 5 corruptions,
+  // and the value site adds exactly one visit per sample to the call
+  // site's one visit per kernel call.
+  MeasurementConfig cfg;
+  cfg.warmup_runs = 1;
+  cfg.repetitions = 5;
+  cfg.min_batch_seconds = 1e-9;
+  const BenchmarkRunner runner(cfg);
+  pe::resilience::FaultSpec corrupt;
+  corrupt.site = std::string(pe::fault_sites::kKernelCall);
+  corrupt.kind = FaultKind::kCorruptValue;
+  corrupt.probability = 1.0;
+  FaultPlan plan;
+  plan.faults.push_back(corrupt);
+  ScopedFaultInjection scope(std::move(plan));
+  int calls = 0;
+  const auto m = runner.run("counted", [&calls] { ++calls; });
+  EXPECT_EQ(m.seconds.size(), 5u);
+  EXPECT_EQ(scope.injector().fires("kernel.call"), 5);
+  EXPECT_EQ(scope.injector().visits("kernel.call"), calls + 5);
 }
 
 TEST(ResilientRunner, KernelFaultsPropagateToCaller) {

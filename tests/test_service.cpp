@@ -162,9 +162,10 @@ TEST(Service, DeadlineExpiredInQueueShedsWithoutRunning) {
 
 TEST(Service, TimedOutRunStopsCallingItsKernel) {
   // The default design (2 warm-ups, 10 repetitions) would call a 20 ms
-  // kernel 13 times; the 50 ms budget is spent after the third call, and
-  // the run stops there, on the worker's thread. No timing race decides
-  // the verdict: thirteen 20 ms calls cannot fit in 50 ms.
+  // kernel 12 times (its 1-call calibration batch is repetition 0); the
+  // 50 ms budget is spent after the third call, and the run stops there,
+  // on the worker's thread. No timing race decides the verdict: twelve
+  // 20 ms calls cannot fit in 50 ms.
   ServiceConfig config;
   config.measurement = pe::MeasurementConfig{};
   Harness h(std::move(config));
